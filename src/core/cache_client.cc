@@ -419,10 +419,18 @@ void CacheClient::OnExtendReply(const ExtendReply& m) {
       cache_.erase(item.file);
       continue;
     }
+    auto cached = cache_.find(item.file);
+    if (cached == cache_.end() && !item.refreshed) {
+      // The entry was invalidated (an approval erased it) while this
+      // extension was on the wire, and the reply carries no data to rebuild
+      // it from. Leave it uncached; waiting reads re-fetch below.
+      continue;
+    }
     bool poisoned = std::find(fetch.poisoned_keys.begin(),
                               fetch.poisoned_keys.end(),
                               item.lease.key) != fetch.poisoned_keys.end();
-    Entry& entry = cache_[item.file];
+    Entry& entry =
+        cached != cache_.end() ? cached->second : cache_[item.file];
     if (item.version >= entry.version) {
       if (item.refreshed) {
         entry.data = item.data;
@@ -457,9 +465,19 @@ void CacheClient::OnExtendReply(const ExtendReply& m) {
       waiter.cb(Error{item.status, "extension rejected"});
       continue;
     }
-    Entry& entry = cache_[waiter.file];
-    entry.last_access = clock_->Now();
-    FinishRead(waiter, entry, /*from_cache=*/false);
+    auto cached = cache_.find(waiter.file);
+    if (cached == cache_.end()) {
+      // Invalidated mid-extension (see above): fetch the data afresh.
+      auto inflight = fetch_for_file_.find(waiter.file);
+      if (inflight != fetch_for_file_.end()) {
+        fetches_[inflight->second].waiters.push_back(std::move(waiter));
+      } else {
+        StartFetch(waiter.file, std::move(waiter));
+      }
+      continue;
+    }
+    cached->second.last_access = clock_->Now();
+    FinishRead(waiter, cached->second, /*from_cache=*/false);
   }
 }
 

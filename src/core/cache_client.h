@@ -27,8 +27,9 @@
 // stages dirty data and flushes it on a timer, on Flush(), or before
 // approving another client's write.
 //
-// The class is single-threaded: all calls (API and packet delivery) must
-// come from the owning event loop or simulator.
+// The class is not thread-safe: all calls (API, packet delivery, timers)
+// must be serialized by the owning simulator or event loop -- in the runtime
+// by the loop's execution lock, whichever thread they run on.
 #ifndef SRC_CORE_CACHE_CLIENT_H_
 #define SRC_CORE_CACHE_CLIENT_H_
 

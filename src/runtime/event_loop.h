@@ -1,9 +1,15 @@
-// Single-threaded event loop with timers for the real-time runtime.
+// Event loop with timers and fd watches for the real-time runtime.
 //
-// Each runtime node (server or client) owns one EventLoop; its protocol
-// object runs exclusively on the loop thread, giving the same serialized
-// execution model the simulator provides. The loop implements TimerHost, so
-// LeaseServer / CacheClient code is oblivious to which world it is in.
+// Each runtime node owns one EventLoop. Its thread sleeps in one ppoll over
+// a wake eventfd plus the fds it watches, with the earliest timer as a
+// nanosecond deadline. Protocol objects are serialized by an execution lock
+// rather than pinned to one thread: every posted task, timer and fd callback
+// runs under it on the loop thread, and RunInline runs a function under the
+// same lock on the caller's thread. LeaseServer / CacheClient therefore see
+// the same one-at-a-time execution the simulator provides, while a blocking
+// call that needs no network (a read under a valid lease) completes without
+// a thread hand-off. The loop implements TimerHost, so protocol code is
+// oblivious to which world it is in.
 #ifndef SRC_RUNTIME_EVENT_LOOP_H_
 #define SRC_RUNTIME_EVENT_LOOP_H_
 
@@ -12,11 +18,14 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/clock/timer_host.h"
+#include "src/common/check.h"
 #include "src/common/ids.h"
 
 namespace leases {
@@ -33,8 +42,29 @@ class EventLoop : public TimerHost {
   void Post(std::function<void()> task);
 
   // Runs `task` on the loop thread and waits for it to finish. Must not be
-  // called from the loop thread itself.
+  // called from the loop thread itself or from inside RunInline.
   void RunSync(std::function<void()> task);
+
+  // Runs `fn` on the calling thread under the execution lock, so it is
+  // serialized with every task, timer and fd callback of this loop. Must not
+  // be called from the loop thread or from inside another RunInline on this
+  // loop: both would deadlock on the lock.
+  template <typename Fn>
+  void RunInline(Fn&& fn) {
+    LEASES_CHECK(!InLoopThread());
+    ExecScope scope(this);
+    fn();
+  }
+
+  // Watches `fd` for readability. `on_readable` runs on the loop thread
+  // under the execution lock whenever the fd polls readable; polling is
+  // level-triggered, so data a callback leaves queued wakes the next pass.
+  // At most one watch per fd. Thread-safe.
+  void WatchFd(int fd, std::function<void()> on_readable);
+  // Removes the watch on `fd`. After it returns the callback is not running,
+  // never runs again, and the loop no longer polls the fd, so the caller may
+  // close it. Thread-safe; a callback may unwatch its own fd.
+  void UnwatchFd(int fd);
 
   // TimerHost (thread-safe).
   TimerId ScheduleAfter(Duration delay, std::function<void()> fn) override;
@@ -50,20 +80,69 @@ class EventLoop : public TimerHost {
  private:
   using SteadyPoint = std::chrono::steady_clock::time_point;
 
+  // Holds the execution lock and marks the calling thread as its holder for
+  // the scope's lifetime.
+  class ExecScope {
+   public:
+    explicit ExecScope(EventLoop* loop);
+    ~ExecScope();
+    ExecScope(const ExecScope&) = delete;
+    ExecScope& operator=(const ExecScope&) = delete;
+
+   private:
+    EventLoop* loop_;
+    const EventLoop* outer_;
+  };
+
   struct Timer {
     TimerId id;
     std::function<void()> fn;
   };
 
-  void Run();
+  struct Watch {
+    uint64_t id;  // tells a re-watched fd number from the one polled
+    // Shared so a callback that unwatches its own fd stays alive until it
+    // returns.
+    std::shared_ptr<std::function<void()>> on_readable;
+  };
 
+  void Run();
+  bool HoldsExecLock() const;
+  // Each runs one unit of work under the execution lock; false once the
+  // loop is stopping.
+  bool RunNextTask();
+  bool RunDueTimer();
+  void RunWatch(int fd, uint64_t watch_id);
+  // Must hold mu_. Drops cancelled timers at the head of the queue.
+  void DropCancelledTimersLocked();
+  // Must hold mu_. True when the sleeping loop needs an eventfd write to
+  // see a change; the caller then calls Wake() after releasing mu_.
+  bool ClaimWakeLocked();
+  void Wake();
+
+  // Serializes all protocol work: tasks, timers, fd callbacks, RunInline.
+  std::mutex exec_mu_;
+
+  // Guards the queues, the watch table and the sleep state below.
   std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<std::function<void()>> tasks_;
   std::multimap<SteadyPoint, Timer> timers_;
   std::unordered_set<TimerId> live_timers_;
   IdGenerator<TimerId> timer_ids_;
+  std::unordered_map<int, Watch> watches_;
+  uint64_t next_watch_id_ = 1;
+  uint64_t watch_gen_ = 0;   // bumped on every watch-table change
+  uint64_t polled_gen_ = 0;  // the table generation the loop last polled
+  // True while the loop thread is (about to be) inside ppoll; sleep_until_
+  // is the deadline it sleeps to. A change that does not move work ahead
+  // of that deadline needs no wake-up.
+  bool sleeping_ = false;
+  SteadyPoint sleep_until_;
+  bool wake_pending_ = false;  // an eventfd write is owed or unconsumed
+  std::condition_variable awake_cv_;  // signalled when ppoll returns
   bool stopping_ = false;
+
+  int wake_fd_ = -1;
   std::thread thread_;
 };
 

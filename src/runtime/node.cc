@@ -190,33 +190,35 @@ void RuntimeClient::Stop() {
 
 Result<OpenResult> RuntimeClient::Open(const std::string& path,
                                        Duration timeout) {
-  LEASES_CHECK(client_ != nullptr);
+  CheckBlockingCall();
   Waiter<OpenResult> waiter;
-  loop_->Post([this, path, cb = waiter.MakeCallback()]() mutable {
-    client_->Open(path, std::move(cb));
-  });
+  loop_->RunInline([&]() { client_->Open(path, waiter.MakeCallback()); });
   return waiter.Wait(timeout);
 }
 
 Result<ReadResult> RuntimeClient::Read(FileId file, Duration timeout) {
-  LEASES_CHECK(client_ != nullptr);
+  CheckBlockingCall();
   Waiter<ReadResult> waiter;
-  loop_->Post([this, file, cb = waiter.MakeCallback()]() mutable {
-    client_->Read(file, std::move(cb));
-  });
+  loop_->RunInline([&]() { client_->Read(file, waiter.MakeCallback()); });
   return waiter.Wait(timeout);
 }
 
 Result<WriteResult> RuntimeClient::Write(FileId file,
                                          std::vector<uint8_t> data,
                                          Duration timeout) {
-  LEASES_CHECK(client_ != nullptr);
+  CheckBlockingCall();
   Waiter<WriteResult> waiter;
-  loop_->Post(
-      [this, file, data = std::move(data), cb = waiter.MakeCallback()]() mutable {
-        client_->Write(file, std::move(data), std::move(cb));
-      });
+  loop_->RunInline([&]() {
+    client_->Write(file, std::move(data), waiter.MakeCallback());
+  });
   return waiter.Wait(timeout);
+}
+
+void RuntimeClient::CheckBlockingCall() const {
+  LEASES_CHECK(client_ != nullptr);
+  // From the loop thread (e.g. inside WithClient) the call could never
+  // complete: its reply is delivered by the very thread that would wait.
+  LEASES_CHECK(!loop_->InLoopThread());
 }
 
 void RuntimeClient::WithClient(std::function<void(CacheClient&)> fn) {

@@ -2,8 +2,12 @@
 // running over real UDP sockets and the monotonic system clock.
 //
 // RuntimeServer and RuntimeClient each own an event loop, a UDP transport
-// and a clock; all protocol work happens on the loop thread. RuntimeClient
-// additionally offers blocking wrappers for application code.
+// and a clock. All protocol work is serialized by the loop's execution lock:
+// datagrams, timers and RunSync tasks run on the loop thread, while
+// RuntimeClient's blocking wrappers run the protocol call on the caller's
+// thread (EventLoop::RunInline). A read under a valid lease therefore
+// completes without a thread hand-off, and a miss or a write sends its
+// request straight from the caller.
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
@@ -46,7 +50,7 @@ class RuntimeServer {
 
   // Direct (pre-start) store setup; not thread-safe once serving.
   FileStore& store() { return store_; }
-  // Runs `fn` on the protocol thread against the live server.
+  // Runs `fn` on the loop thread against the live server.
   void WithServer(std::function<void(LeaseServer&)> fn);
   // The engine shell (valid between Start and Stop).
   ServerEngine& engine() { return *engine_; }
@@ -85,7 +89,9 @@ class RuntimeClient {
 
   uint16_t port() const { return transport_->port(); }
 
-  // Blocking wrappers (call from any non-loop thread).
+  // Blocking wrappers. They run on the calling thread, which must not be the
+  // loop thread (so never from inside WithClient); several threads may call
+  // them at once and are serialized by the loop's execution lock.
   Result<OpenResult> Open(const std::string& path,
                           Duration timeout = Duration::Seconds(30));
   Result<ReadResult> Read(FileId file,
@@ -93,6 +99,7 @@ class RuntimeClient {
   Result<WriteResult> Write(FileId file, std::vector<uint8_t> data,
                             Duration timeout = Duration::Seconds(30));
 
+  // Runs `fn` on the loop thread against the live client.
   void WithClient(std::function<void(CacheClient&)> fn);
   ClientStats stats();
   UdpTransport& transport() { return *transport_; }
@@ -102,6 +109,8 @@ class RuntimeClient {
   FaultInjectingTransport& faults() { return *faulty_; }
 
  private:
+  void CheckBlockingCall() const;
+
   NodeId id_;
   NodeId server_id_;
   FileId root_;

@@ -64,7 +64,7 @@ Status RuntimeReplicaServer::Start(bool cold_boot, uint16_t serve_port,
   }
   engine_ = std::move(engine.value());
   // Timer arming and (for the seed replica) the first acquisition happen
-  // on the loop thread, matching the single-threaded protocol model.
+  // on the loop thread, matching the serialized protocol model.
   Status serving;
   loop_->RunSync([this, &serving]() { serving = engine_->Start(); });
   if (!serving.ok()) {

@@ -18,13 +18,29 @@ constexpr size_t kHeaderSize = 5;  // u32 sender + u8 class
 
 }  // namespace
 
+struct UdpTransport::RecvBatch {
+  // One ::recvmmsg drains up to kSize queued datagrams per syscall, so a
+  // loaded socket amortizes the syscall across the burst.
+  static constexpr unsigned kSize = 16;
+
+  RecvBatch() : buffers(kSize) {
+    for (unsigned i = 0; i < kSize; ++i) {
+      buffers[i].resize(kMaxDatagram);
+      iovs[i] = {buffers[i].data(), buffers[i].size()};
+      std::memset(&msgs[i], 0, sizeof(msgs[i]));
+      msgs[i].msg_hdr.msg_iov = &iovs[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
+    }
+  }
+
+  std::vector<std::vector<uint8_t>> buffers;
+  mmsghdr msgs[kSize];
+  iovec iovs[kSize];
+};
+
 UdpTransport::UdpTransport(NodeId self, EventLoop* loop,
                            PacketHandler* handler)
-    : self_(self),
-      loop_(loop),
-      recv_state_(std::make_shared<ReceiveState>()) {
-  recv_state_->handler = handler;
-}
+    : self_(self), loop_(loop), handler_(handler) {}
 
 UdpTransport::~UdpTransport() { Stop(); }
 
@@ -49,6 +65,11 @@ Status UdpTransport::Start(uint16_t port) {
     return Status(ErrorCode::kUnavailable, "getsockname() failed");
   }
   port_ = ntohs(addr.sin_port);
+  recv_ = std::make_unique<RecvBatch>();
+  if (loop_ != nullptr) {
+    loop_->WatchFd(fd_, [this]() { DrainOnLoop(); });
+    return Status::Ok();
+  }
   stopping_ = false;
   receiver_ = std::thread([this]() { ReceiverThread(); });
   return Status::Ok();
@@ -58,22 +79,27 @@ void UdpTransport::Stop() {
   if (fd_ < 0) {
     return;
   }
-  stopping_ = true;
-  ::shutdown(fd_, SHUT_RDWR);
-  // shutdown() does not reliably wake a blocked recvfrom on UDP; nudge it.
-  int wake = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (wake >= 0) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    uint8_t zero = 0;
-    ::sendto(wake, &zero, 1, 0, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr));
-    ::close(wake);
-  }
-  if (receiver_.joinable()) {
-    receiver_.join();
+  if (loop_ != nullptr) {
+    // Returns only once the drain callback is not running and never will.
+    loop_->UnwatchFd(fd_);
+  } else {
+    stopping_ = true;
+    ::shutdown(fd_, SHUT_RDWR);
+    // shutdown() does not reliably wake a blocked recvfrom on UDP; nudge it.
+    int wake = ::socket(AF_INET, SOCK_DGRAM, 0);
+    if (wake >= 0) {
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      addr.sin_port = htons(port_);
+      uint8_t zero = 0;
+      ::sendto(wake, &zero, 1, 0, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr));
+      ::close(wake);
+    }
+    if (receiver_.joinable()) {
+      receiver_.join();
+    }
   }
   std::lock_guard<std::mutex> lock(fd_mu_);
   ::close(fd_);
@@ -214,89 +240,61 @@ void UdpTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
   }
 }
 
-std::vector<uint8_t> UdpTransport::AcquireBuffer(ReceiveState& state) {
-  std::lock_guard<std::mutex> lock(state.pool_mu);
-  if (state.pool.empty()) {
-    return {};
-  }
-  std::vector<uint8_t> buf = std::move(state.pool.back());
-  state.pool.pop_back();
-  return buf;
-}
-
-void UdpTransport::ReleaseBuffer(ReceiveState& state,
-                                 std::vector<uint8_t> buf) {
-  std::lock_guard<std::mutex> lock(state.pool_mu);
-  state.pool.push_back(std::move(buf));
-}
-
 void UdpTransport::ReceiverThread() {
-  // Batched receive: one ::recvmmsg drains up to kRecvBatch queued datagrams
-  // per syscall. MSG_WAITFORONE blocks for the first and then takes whatever
-  // else is already queued, so an idle socket still costs one blocking call
-  // while a loaded one amortizes the syscall across the burst -- the
-  // receive-side half of the batching the sharded server needs to keep its
-  // single receiver thread ahead of N shard threads.
-  constexpr unsigned kRecvBatch = 16;
-  std::vector<std::vector<uint8_t>> buffers(kRecvBatch);
-  mmsghdr msgs[kRecvBatch];
-  iovec iovs[kRecvBatch];
-  for (unsigned i = 0; i < kRecvBatch; ++i) {
-    buffers[i].resize(kMaxDatagram);
-    iovs[i] = {buffers[i].data(), buffers[i].size()};
-    std::memset(&msgs[i], 0, sizeof(msgs[i]));
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-  }
+  // MSG_WAITFORONE blocks for the first datagram and then takes whatever
+  // else is already queued, so an idle socket still costs one blocking call.
   while (!stopping_) {
-    int got = ::recvmmsg(fd_, msgs, kRecvBatch, MSG_WAITFORONE, nullptr);
+    int got = ::recvmmsg(fd_, recv_->msgs, RecvBatch::kSize, MSG_WAITFORONE,
+                         nullptr);
     if (stopping_) {
       return;
     }
-    if (got < 0) {
+    if (got > 0) {
+      DeliverBatch(got);
+    }
+  }
+}
+
+void UdpTransport::DrainOnLoop() {
+  // One batch per wake-up: the loop polls level-triggered, so anything left
+  // queued comes back on the next pass, after due timers and tasks.
+  int got = ::recvmmsg(fd_, recv_->msgs, RecvBatch::kSize, MSG_DONTWAIT,
+                       nullptr);
+  if (got > 0) {
+    DeliverBatch(got);
+  }
+}
+
+void UdpTransport::DeliverBatch(int got) {
+  for (int m = 0; m < got; ++m) {
+    const std::vector<uint8_t>& buffer = recv_->buffers[m];
+    auto n = static_cast<size_t>(recv_->msgs[m].msg_len);
+    if (n < kHeaderSize) {
+      continue;  // wake-up byte or damaged frame
+    }
+    uint32_t sender = static_cast<uint32_t>(buffer[0]) |
+                      (static_cast<uint32_t>(buffer[1]) << 8) |
+                      (static_cast<uint32_t>(buffer[2]) << 16) |
+                      (static_cast<uint32_t>(buffer[3]) << 24);
+    auto cls = static_cast<MessageClass>(buffer[4]);
+    if (static_cast<int>(cls) >= kNumMessageClasses) {
       continue;
     }
-    for (int m = 0; m < got; ++m) {
-      const std::vector<uint8_t>& buffer = buffers[m];
-      auto n = static_cast<ssize_t>(msgs[m].msg_len);
-      if (n < static_cast<ssize_t>(kHeaderSize)) {
-        continue;  // wake-up byte or damaged frame
-      }
-      uint32_t sender = static_cast<uint32_t>(buffer[0]) |
-                        (static_cast<uint32_t>(buffer[1]) << 8) |
-                        (static_cast<uint32_t>(buffer[2]) << 16) |
-                        (static_cast<uint32_t>(buffer[3]) << 24);
-      auto cls = static_cast<MessageClass>(buffer[4]);
-      if (static_cast<int>(cls) >= kNumMessageClasses) {
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.received[static_cast<int>(cls)]++;
-      }
-      if (raw_handler_) {
-        // Shard-engine path: decode + route on this thread; the protocol
-        // work itself runs on the owning shard's thread.
-        raw_handler_(NodeId(sender), cls,
-                     std::span<const uint8_t>(buffer.data() + kHeaderSize,
-                                              static_cast<size_t>(n) -
-                                                  kHeaderSize));
-        continue;
-      }
-      // Pooled payload: the vector cycles back after the handler runs, so
-      // steady-state receives reuse capacity instead of allocating. The
-      // callback co-owns the receive state rather than capturing `this`,
-      // since it may still be queued when the transport is destroyed.
-      std::vector<uint8_t> payload = AcquireBuffer(*recv_state_);
-      payload.assign(buffer.begin() + kHeaderSize, buffer.begin() + n);
-      loop_->Post([state = recv_state_, sender, cls,
-                   payload = std::move(payload)]() mutable {
-        PacketHandler* handler = state->handler.load();
-        if (handler != nullptr) {
-          handler->HandlePacket(NodeId(sender), cls, payload);
-        }
-        ReleaseBuffer(*state, std::move(payload));
-      });
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.received[static_cast<int>(cls)]++;
+    }
+    std::span<const uint8_t> payload(buffer.data() + kHeaderSize,
+                                     n - kHeaderSize);
+    if (raw_handler_) {
+      // Shard-engine path: decode + route on this thread; the protocol
+      // work itself runs on the owning shard's thread.
+      raw_handler_(NodeId(sender), cls, payload);
+      continue;
+    }
+    PacketHandler* handler = handler_.load();
+    if (handler != nullptr) {
+      handler->HandlePacket(NodeId(sender), cls, payload);
     }
   }
 }

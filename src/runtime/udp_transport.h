@@ -1,10 +1,12 @@
 // UDP datagram transport on localhost for the real-time runtime.
 //
-// Frame layout: [sender NodeId u32 LE][MessageClass u8][payload]. Incoming
-// datagrams are posted onto the owning node's EventLoop, preserving the
-// single-threaded execution model the protocol objects require. Multicast is
-// emulated by iterated sendto over the recipient list -- the paper's cost
-// model charges the sender once, which the stats mirror.
+// Frame layout: [sender NodeId u32 LE][MessageClass u8][payload]. A
+// transport built with an EventLoop registers its socket with that loop:
+// the loop thread drains one recvmmsg batch per wake-up and hands each
+// datagram to the handler in place, under the loop's execution lock, which
+// preserves the serialized execution model the protocol objects require.
+// Multicast is emulated by iterated sendto over the recipient list -- the
+// paper's cost model charges the sender once, which the stats mirror.
 #ifndef SRC_RUNTIME_UDP_TRANSPORT_H_
 #define SRC_RUNTIME_UDP_TRANSPORT_H_
 
@@ -31,27 +33,31 @@ class UdpBatchSender;
 class UdpTransport : public Transport {
  public:
   // `handler` is invoked on `loop`'s thread for each datagram; it may be
-  // null until SetHandler is called. `loop` may be null when the owner uses
-  // SetRawHandler (shard-engine dispatch) instead of loop delivery.
+  // null until SetHandler is called. `loop` must outlive the transport
+  // (Stop() unwatches the socket from it). `loop` may be null when the owner
+  // uses SetRawHandler (shard-engine dispatch) instead: the transport then
+  // runs its own receiver thread.
   UdpTransport(NodeId self, EventLoop* loop, PacketHandler* handler);
   ~UdpTransport() override;
 
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  // Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts the
-  // receiver thread.
+  // Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts
+  // receiving: on the loop, or on the receiver thread in raw-handler mode.
   Status Start(uint16_t port = 0);
+  // Stops receiving and closes the socket. Once it returns no handler call
+  // is running or will start.
   void Stop();
 
   uint16_t port() const { return port_; }
-  void SetHandler(PacketHandler* handler) { recv_state_->handler = handler; }
+  void SetHandler(PacketHandler* handler) { handler_ = handler; }
 
-  // Shard-engine dispatch: when set, every datagram is handed to `handler`
-  // *on the receiver thread* (sender id + class + raw payload) instead of
-  // being posted to the EventLoop. The handler decodes and routes to the
-  // owning shard's queue; run-to-completion then happens on the shard
-  // thread. Must be set before Start().
+  // Shard-engine dispatch (transports built without a loop): every datagram
+  // is handed to `handler` *on the receiver thread* (sender id + class + raw
+  // payload). The handler decodes and routes to the owning shard's queue;
+  // run-to-completion then happens on the shard thread. Must be set before
+  // Start().
   using RawHandler = std::function<void(NodeId from, MessageClass cls,
                                         std::span<const uint8_t> payload)>;
   void SetRawHandler(RawHandler handler) { raw_handler_ = std::move(handler); }
@@ -86,7 +92,12 @@ class UdpTransport : public Transport {
   void RegisterBatchCounters(const std::atomic<uint64_t>* counters);
   void UnregisterBatchCounters(const std::atomic<uint64_t>* counters);
 
+  // Raw-handler mode: blocks in recvmmsg until Stop().
   void ReceiverThread();
+  // Loop mode: the socket's on-readable callback; drains one batch.
+  void DrainOnLoop();
+  // Counts and dispatches the first `got` datagrams of the receive batch.
+  void DeliverBatch(int got);
   void SendFrame(NodeId dst, MessageClass cls,
                  const std::vector<uint8_t>& frame);
   // Resolves a peer's loopback address; false (and one counted send failure)
@@ -99,30 +110,23 @@ class UdpTransport : public Transport {
   // appends the payload. Must hold send_mu_.
   void BeginFrameLocked(MessageClass cls);
 
-  // Receive-side state shared between the transport and in-flight EventLoop
-  // callbacks: the payload buffer pool (vectors cycle between the receiver
-  // thread and the callbacks instead of being allocated per datagram) and
-  // the handler pointer. Callbacks co-own it via shared_ptr, so one that
-  // runs after the transport is destroyed touches only this block.
-  struct ReceiveState {
-    std::atomic<PacketHandler*> handler{nullptr};
-    std::mutex pool_mu;
-    std::vector<std::vector<uint8_t>> pool;
-  };
-  static std::vector<uint8_t> AcquireBuffer(ReceiveState& state);
-  static void ReleaseBuffer(ReceiveState& state, std::vector<uint8_t> buf);
+  // One recvmmsg batch: datagrams are delivered straight out of these
+  // buffers, so a receive copies nothing and allocates nothing. Used by
+  // exactly one receiving context (the loop or the receiver thread).
+  struct RecvBatch;
 
   NodeId self_;
   EventLoop* loop_;
-  RawHandler raw_handler_;  // set before Start(); receiver thread only
-  std::shared_ptr<ReceiveState> recv_state_;
-  // fd_mu_ serializes sendto against close: EventLoop callbacks may still be
-  // sending replies while the owner tears the transport down. recvfrom needs
-  // no lock -- the receiver thread is joined before the fd is closed.
+  std::atomic<PacketHandler*> handler_{nullptr};
+  RawHandler raw_handler_;  // set before Start()
+  std::unique_ptr<RecvBatch> recv_;
+  // fd_mu_ serializes sendto against close: timers or RunInline callers may
+  // still be sending while the owner tears the transport down. The receive
+  // side needs no lock -- it is unwatched (or joined) before the close.
   std::mutex fd_mu_;
   int fd_ = -1;
   uint16_t port_ = 0;
-  std::thread receiver_;
+  std::thread receiver_;  // raw-handler mode only
   std::atomic<bool> stopping_{false};
 
   mutable std::mutex mu_;

@@ -3,6 +3,8 @@
 // management.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/core/sim_cluster.h"
 #include "src/workload/v_config.h"
 
@@ -271,6 +273,42 @@ TEST(TimeoutTest, UnreachableServerFailsReadsAfterRetries) {
   EXPECT_EQ(r.code(), ErrorCode::kTimeout);
   EXPECT_EQ(cluster.client(0).stats().retransmits, 3u);
   EXPECT_EQ(cluster.client(0).stats().timeouts, 1u);
+}
+
+// Regression: an approval that lands while a batched extension is on the
+// wire erases the cached entry. The server saw the cache's version as
+// current, so its extension reply carries a version but no data. That reply
+// must not resurrect the entry with empty data; the waiting read fetches the
+// file afresh instead.
+TEST(ExtensionRaceTest, ApprovalDuringExtensionRefetchesInsteadOfEmptyData) {
+  SimCluster cluster(Base());
+  FileId file = *cluster.store().CreatePath("/f", FileClass::kNormal,
+                                            Bytes("payload"));
+  ASSERT_TRUE(cluster.SyncRead(0, file).ok());
+  cluster.RunFor(Duration::Seconds(11));  // the lease lapses, the data stays
+
+  std::optional<Result<ReadResult>> read;
+  cluster.client(0).Read(file,
+                         [&](Result<ReadResult> r) { read = std::move(r); });
+  ASSERT_EQ(cluster.client(0).stats().extend_requests, 1u);  // on the wire
+  // The approval overtakes the extension's reply.
+  cluster.client(0).HandleTyped(
+      cluster.server_id(), MessageClass::kConsistency,
+      ApproveRequest{/*write_seq=*/1, file, cluster.store().CoverOf(file)});
+  ASSERT_FALSE(cluster.client(0).HasCached(file));
+
+  cluster.RunFor(Duration::Seconds(1));
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->ok()) << read->error().ToString();
+  EXPECT_EQ((*read)->version, 1u);
+  EXPECT_EQ(Text((*read)->data), "payload");
+  EXPECT_FALSE((*read)->from_cache);
+  EXPECT_EQ(cluster.client(0).stats().remote_fetches, 2u);  // the re-fetch
+  // The re-fetched copy is cached again and serves the next read locally.
+  Result<ReadResult> again = cluster.SyncRead(0, file);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(Text(again->data), "payload");
+  EXPECT_EQ(cluster.oracle().violations(), 0u);
 }
 
 }  // namespace

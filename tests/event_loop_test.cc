@@ -1,9 +1,15 @@
 // Unit tests for the real-time event loop, UDP transport and the
 // fault-injection decorator over the real backend.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "src/net/faulty_transport.h"
@@ -94,6 +100,162 @@ TEST(EventLoopTest, StopIsIdempotentAndDropsPendingWork) {
   loop->Stop();
   loop.reset();
   EXPECT_FALSE(fired);
+}
+
+// RunInline runs on the caller's thread, yet under the same execution lock
+// as the loop's own work: a plain int bumped from N threads through
+// RunInline and from posted tasks must land on the exact total (and TSan,
+// in the sanitizer tier, must see no race on it).
+TEST(EventLoopTest, RunInlineSerializesWithPostedTasksAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kIters = 20000;
+  constexpr int kPostEvery = 8;
+  EventLoop loop;
+  int counter = 0;  // deliberately unsynchronized
+  std::atomic<int> off_thread{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&]() {
+      const std::thread::id self = std::this_thread::get_id();
+      for (int i = 0; i < kIters; ++i) {
+        loop.RunInline([&]() {
+          ++counter;
+          if (std::this_thread::get_id() != self) {
+            ++off_thread;
+          }
+        });
+        if (i % kPostEvery == 0) {
+          loop.Post([&counter]() { ++counter; });
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  int total = 0;
+  loop.RunSync([&]() { total = counter; });  // queued after every Post
+  EXPECT_EQ(total, kThreads * kIters + kThreads * (kIters / kPostEvery));
+  EXPECT_EQ(off_thread, 0);
+}
+
+// After UnwatchFd returns, the fd callback is not running and never runs
+// again -- even while datagrams keep the fd readable.
+TEST(EventLoopTest, UnwatchFdStopsCallbacksUnderDatagramFlood) {
+  constexpr int kRepetitions = 1000;
+  int rx = ::socket(AF_INET, SOCK_DGRAM, 0);
+  int tx = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(rx, 0);
+  ASSERT_GE(tx, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(rx, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(rx, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  std::atomic<bool> flooding{true};
+  std::thread flood([&]() {
+    uint8_t byte = 0;
+    while (flooding) {
+      ::sendto(tx, &byte, 1, 0, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr));
+    }
+  });
+
+  EventLoop loop;
+  std::atomic<bool> unwatched{false};
+  std::atomic<int> late_calls{0};
+  std::atomic<int> calls{0};
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    unwatched = false;
+    loop.WatchFd(rx, [&]() {
+      ++calls;
+      if (unwatched) {
+        ++late_calls;
+      }
+      uint8_t buf[16];
+      for (int i = 0; i < 16; ++i) {
+        if (::recv(rx, buf, sizeof(buf), MSG_DONTWAIT) <= 0) {
+          break;
+        }
+      }
+      // Linger so UnwatchFd often lands mid-callback.
+      auto until = std::chrono::steady_clock::now() +
+                   std::chrono::microseconds(20);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      if (unwatched) {
+        ++late_calls;
+      }
+    });
+    // Unwatch while the flood keeps the callback running.
+    int seen = calls.load();
+    auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (calls.load() == seen && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    loop.UnwatchFd(rx);
+    unwatched = true;
+  }
+  // Give a stale callback every chance to show up before checking.
+  loop.RunSync([]() {});
+  flooding = false;
+  flood.join();
+  EXPECT_EQ(late_calls, 0);
+  EXPECT_GE(calls, kRepetitions);  // the flood kept the callback busy
+  ::close(tx);
+  ::close(rx);
+}
+
+// Post wakes the loop only while it sleeps; a ping-pong that races each
+// Post against the loop going back to sleep must never strand a task.
+TEST(EventLoopTest, PostPingPongNeverLosesAWakeUp) {
+  constexpr int kRounds = 100000;
+  EventLoop loop;
+  int posted = 0;  // loop-side only
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRounds; ++i) {
+    loop.Post([&posted]() { ++posted; });
+    // RunSync's round trip, but with a deadline: a lost wake-up fails the
+    // test instead of hanging it.
+    auto seen = std::make_shared<std::promise<int>>();
+    std::future<int> reply = seen->get_future();
+    loop.Post([seen, &posted]() { seen->set_value(posted); });
+    ASSERT_EQ(reply.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "round " << i << " stranded: a wake-up was lost";
+    ASSERT_EQ(reply.get(), i + 1);
+  }
+  int total = 0;
+  loop.RunSync([&]() { total = posted; });
+  EXPECT_EQ(total, kRounds);
+  // ~2 s on a 4-core VM; the bound leaves room for sanitizer builds.
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(120));
+}
+
+// ScheduleAfter wakes the loop only for a deadline earlier than the one it
+// sleeps to -- which must still happen.
+TEST(EventLoopTest, EarlierTimerWakesLoopSleepingOnALaterOne) {
+  EventLoop loop;
+  loop.ScheduleAfter(Duration::Seconds(10), []() {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // now asleep
+  std::atomic<bool> fired{false};
+  std::atomic<int64_t> elapsed_us{0};
+  auto start = std::chrono::steady_clock::now();
+  loop.ScheduleAfter(Duration::Millis(20), [&]() {
+    elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+    fired = true;
+  });
+  for (int i = 0; i < 400 && !fired; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(fired);
+  EXPECT_GE(elapsed_us, 20000);
+  EXPECT_LE(elapsed_us, 250000);  // on time, not at the 10 s deadline
 }
 
 TEST(UdpTransportTest, LoopbackDelivery) {

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
+#include <random>
 #include <string>
+#include <thread>
 
 #include "src/runtime/node.h"
 
@@ -148,6 +153,129 @@ TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
   a.Stop();
   b.Stop();
   server.Stop();
+}
+
+// Several caller threads share one RuntimeClient -- their calls run inline,
+// on their own threads -- while a second client writes the same files, so
+// approval callbacks and invalidations run on the loop thread in between.
+// Every call must complete, each thread must see every file's version never
+// go backwards, and a read issued after a write's ack must return at least
+// that version (the paper's invariant, over real sockets).
+TEST(RuntimeConcurrency, InlineCallersShareAClientWhileAnotherWrites) {
+  constexpr int kFiles = 4;
+  constexpr int kCallers = 3;
+  const auto run_for = std::chrono::milliseconds(1500);
+
+  RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(2));
+  std::array<FileId, kFiles> files;
+  for (int f = 0; f < kFiles; ++f) {
+    files[f] = *server.store().CreatePath("/f" + std::to_string(f),
+                                          FileClass::kNormal, B("seed"));
+  }
+  ASSERT_TRUE(server.Start().ok());
+  ClientParams params;
+  params.transit_allowance = Duration::Millis(50);
+  params.epsilon = Duration::Millis(50);
+  RuntimeClient shared(NodeId(2), NodeId(1), server.store().root(), params);
+  RuntimeClient writer(NodeId(3), NodeId(1), server.store().root(), params);
+  ASSERT_TRUE(shared.Start(server.port()).ok());
+  ASSERT_TRUE(writer.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), shared.port());
+  server.AddPeer(NodeId(3), writer.port());
+
+  // Highest version acked to any writer, per file.
+  std::array<std::atomic<uint64_t>, kFiles> acked{};
+  auto note_ack = [&](int f, uint64_t version) {
+    uint64_t seen = acked[f].load();
+    while (seen < version && !acked[f].compare_exchange_weak(seen, version)) {
+    }
+  };
+  std::atomic<int> failures{0};
+  std::atomic<int> stale{0};
+  std::atomic<int> regressions{0};
+  std::atomic<int> reads{0};
+  std::atomic<bool> stop{false};
+
+  std::thread write_loop([&]() {
+    for (int i = 0; !stop; ++i) {
+      int f = i % kFiles;
+      Result<WriteResult> w =
+          writer.Write(files[f], B("w" + std::to_string(i)));
+      if (!w.ok()) {
+        ++failures;
+        continue;
+      }
+      note_ack(f, w->version);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t]() {
+      std::mt19937 rng(static_cast<uint32_t>(t) + 1);
+      std::array<uint64_t, kFiles> last{};
+      while (!stop) {
+        int f = static_cast<int>(rng() % kFiles);
+        if (rng() % 10 == 0) {
+          Result<WriteResult> w = shared.Write(files[f], B("s"));
+          if (!w.ok()) {
+            ++failures;
+            continue;
+          }
+          note_ack(f, w->version);
+          continue;
+        }
+        uint64_t floor = acked[f].load();
+        Result<ReadResult> r = shared.Read(files[f]);
+        if (!r.ok()) {
+          ++failures;
+          continue;
+        }
+        ++reads;
+        stale += r->version < floor ? 1 : 0;
+        regressions += r->version < last[f] ? 1 : 0;
+        last[f] = std::max(last[f], r->version);
+      }
+    });
+  }
+  std::this_thread::sleep_for(run_for);
+  stop = true;
+  write_loop.join();
+  for (std::thread& t : callers) {
+    t.join();
+  }
+
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(shared.stats().timeouts + writer.stats().timeouts, 0u);
+  EXPECT_EQ(stale, 0);
+  EXPECT_EQ(regressions, 0);
+  EXPECT_GT(reads, 0);
+  EXPECT_GT(shared.stats().approvals_granted, 0u);  // the race was exercised
+  shared.Stop();
+  writer.Stop();
+  server.Stop();
+}
+
+// A blocking call from the loop thread could never complete (the thread
+// that would deliver its reply is the one waiting), so it aborts at once.
+TEST(RuntimeDeathTest, ReadFromInsideWithClientAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(2));
+        FileId file = *server.store().CreatePath("/f", FileClass::kNormal,
+                                                 B("x"));
+        if (!server.Start().ok()) {
+          return;
+        }
+        RuntimeClient client(NodeId(2), NodeId(1), server.store().root(),
+                             ClientParams{});
+        if (!client.Start(server.port()).ok()) {
+          return;
+        }
+        client.WithClient([&](CacheClient&) { (void)client.Read(file); });
+      },
+      "InLoopThread");
 }
 
 TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
