@@ -29,8 +29,9 @@ int Run(const std::vector<size_t>& shard_counts, size_t files, size_t ops,
   for (size_t s : shard_counts) {
     max_shards = s > max_shards ? s : max_shards;
   }
-  // Feeders are near-idle (pre-built messages), so the requirement is one
-  // core per shard; anything less and the "parallel" shards time-slice.
+  // The one feeder is near-idle (it posts pre-built 64-message chunks), so
+  // the requirement is one core per shard; anything less and the
+  // "parallel" shards time-slice.
   bool degraded = hw < max_shards;
 
   std::vector<ShardBenchResult> results;

@@ -1,18 +1,22 @@
 // Typed lease-op throughput through the sharded grant plane.
 //
-// Measures the shard engine itself -- ShardLoop threads draining SPSC
-// queues into per-shard LeaseServers -- with the UDP layer replaced by a
-// per-shard counting transport, so the number is the typed cluster-lease-op
-// benchmark of BENCH_CORE.json scaled across cores, not a socket benchmark.
+// Measures the shard engine itself -- one EventLoop per shard, as in the
+// sharded RuntimeServer, running per-shard LeaseServers -- with the UDP
+// layer replaced by a per-shard counting transport, so the number is the
+// typed cluster-lease-op benchmark of BENCH_CORE.json scaled across cores,
+// not a socket benchmark.
 //
 // Workload: `files` files spread across the shards by the production hash,
 // each driven by its own client with an alternating read (lease grant) /
-// write (immediate commit) stream. Messages are pre-routed and pre-encoded
-// as typed packets; one feeder thread per shard keeps the SPSC
-// single-producer invariant while the shard threads run the protocol.
+// write (immediate commit) stream. Messages are pre-routed and pre-built as
+// typed packets. One feeder thread serves every shard, posting one task per
+// 64-message chunk, so the loops spend their time in the protocol core and
+// the thread count is shards + 1 at any shard count.
 #ifndef BENCH_SHARD_BENCH_H_
 #define BENCH_SHARD_BENCH_H_
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -24,7 +28,7 @@
 #include "src/core/sharded_lease_server.h"
 #include "src/core/term_policy.h"
 #include "src/fs/file_store.h"
-#include "src/runtime/shard_loop.h"
+#include "src/runtime/event_loop.h"
 
 namespace leases {
 
@@ -61,12 +65,19 @@ struct ShardBenchResult {
 
 inline ShardBenchResult RunShardBench(size_t num_shards, size_t num_files,
                                       size_t ops_per_file) {
+  constexpr size_t kChunk = 64;
   struct Rig {
-    std::unique_ptr<ShardLoop> loop;
+    std::unique_ptr<EventLoop> loop;
     FileStore store;
     DurableMeta meta;
     std::unique_ptr<FixedTermPolicy> policy;
     std::unique_ptr<ShardBenchTransport> transport;
+    std::atomic<uint64_t> processed{0};
+  };
+  struct Inbound {
+    NodeId from;
+    MessageClass cls = MessageClass::kData;
+    Packet packet;
   };
 
   const NodeId server_id(1);
@@ -83,7 +94,7 @@ inline ShardBenchResult RunShardBench(size_t num_shards, size_t num_files,
   std::vector<ShardEnv> envs(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     auto rig = std::make_unique<Rig>();
-    rig->loop = std::make_unique<ShardLoop>();
+    rig->loop = std::make_unique<EventLoop>();
     rig->policy = std::make_unique<FixedTermPolicy>(Duration::Seconds(10));
     rig->transport = std::make_unique<ShardBenchTransport>(server_id);
     envs[s].store = &rig->store;
@@ -102,7 +113,7 @@ inline ShardBenchResult RunShardBench(size_t num_shards, size_t num_files,
   // measures protocol processing, not workload generation. Each file gets
   // one dedicated client, so its writes carry the holder's implicit
   // approval and commit immediately (the lock-free fast path end to end).
-  std::vector<std::vector<ShardInbound>> stream(num_shards);
+  std::vector<std::vector<Inbound>> stream(num_shards);
   uint64_t req = 1;
   for (size_t op = 0; op < ops_per_file; ++op) {
     for (size_t i = 0; i < files.size(); ++i) {
@@ -130,34 +141,35 @@ inline ShardBenchResult RunShardBench(size_t num_shards, size_t num_files,
     total += s.size();
   }
 
-  for (size_t s = 0; s < num_shards; ++s) {
-    size_t index = s;
-    rigs[s]->loop->Start(
-        [&server, index](const ShardInbound& msg) {
-          server.DeliverToShard(index, msg.from, msg.cls, msg.packet);
-        },
-        /*idle=*/[]() {});
+  size_t longest = 0;
+  for (const auto& s : stream) {
+    longest = std::max(longest, s.size());
   }
 
   auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> feeders;
-  for (size_t s = 0; s < num_shards; ++s) {
-    feeders.emplace_back([&stream, &rigs, s]() {
-      for (ShardInbound& msg : stream[s]) {
-        while (!rigs[s]->loop->Enqueue(std::move(msg))) {
-          std::this_thread::yield();  // ring full: shard is saturated
+  std::thread feeder([&]() {
+    for (size_t begin = 0; begin < longest; begin += kChunk) {
+      for (size_t s = 0; s < num_shards; ++s) {
+        size_t end = std::min(begin + kChunk, stream[s].size());
+        if (begin >= end) {
+          continue;
         }
+        rigs[s]->loop->Post([&server, &stream, &rigs, s, begin, end]() {
+          for (size_t m = begin; m < end; ++m) {
+            const Inbound& msg = stream[s][m];
+            server.DeliverToShard(s, msg.from, msg.cls, msg.packet);
+          }
+          rigs[s]->processed += end - begin;
+        });
       }
-    });
-  }
-  for (std::thread& t : feeders) {
-    t.join();
-  }
+    }
+  });
+  feeder.join();
   uint64_t processed = 0;
   do {
     processed = 0;
     for (const auto& rig : rigs) {
-      processed += rig->loop->processed();
+      processed += rig->processed;
     }
   } while (processed < total &&
            (std::this_thread::sleep_for(std::chrono::microseconds(100)),

@@ -99,6 +99,9 @@ struct ServerStats {
   // transport's NodeMessageStats; always zero in simulation, where loss is
   // modelled in flight rather than at the sender). ---
   uint64_t send_failures = 0;
+  // Datagrams a sharded runtime host dropped because the owning shard's
+  // loop already had its limit of deliveries queued.
+  uint64_t inbound_drops = 0;
 
   // --- Replicated authority plane (src/replica; zero everywhere else) ---
   uint64_t authority_rounds = 0;        // acquisition rounds started

@@ -252,6 +252,7 @@ void MergeServerStats(ServerStats* into, const ServerStats& from) {
   into->replay_duration = std::max(into->replay_duration,
                                    from.replay_duration);
   into->send_failures += from.send_failures;
+  into->inbound_drops += from.inbound_drops;
   into->authority_rounds += from.authority_rounds;
   into->authority_acquisitions += from.authority_acquisitions;
   into->authority_renewals += from.authority_renewals;

@@ -14,9 +14,8 @@
 //   * simulator -- SimCluster installs a ShardedLeaseServer as the server
 //     node's PacketHandler; HandleTyped routes each message to its owning
 //     shard inline (single-threaded, deterministic).
-//   * runtime -- the shard engine calls Route() from the UDP receiver
-//     thread to pick the SPSC queue, and DeliverToShard() from the owning
-//     shard's worker thread.
+//   * runtime -- RuntimeServer calls Route() on the loop that owns the
+//     socket, and DeliverToShard() on the owning shard's loop.
 //
 // Cross-shard batched extensions (Section 3.1 batches every held lease into
 // one ExtendRequest) are split into per-shard sub-requests; a reply tap on
@@ -59,8 +58,8 @@ void MergeServerStats(ServerStats* into, const ServerStats& from);
 
 // Everything one shard needs from its environment. In the simulator every
 // shard shares the server node's clock/timers/transport (one simulated
-// host); in the runtime engine each shard gets its own timer host and a
-// per-shard batching sender, so nothing is contended.
+// host); in the runtime each shard gets its own event loop as timer host,
+// and all shards share the host's thread-safe transport.
 struct ShardEnv {
   FileStore* store = nullptr;
   DurableMeta* meta = nullptr;
@@ -93,11 +92,11 @@ class ShardedLeaseServer : public PacketHandler {
   void HandleTyped(NodeId from, MessageClass cls,
                    const Packet& packet) override;
 
-  // --- Two-phase dispatch (runtime shard engine) ---
-  // Route() runs on the I/O thread: it resolves the owning shard (splitting
+  // --- Two-phase dispatch (runtime) ---
+  // Route() runs on the I/O loop: it resolves the owning shard (splitting
   // cross-shard extend/relinquish batches and arming the merge rendezvous)
-  // and hands each delivery to `sink`, which enqueues it on the shard's
-  // inbound queue. The shard's worker thread then calls DeliverToShard().
+  // and hands each delivery to `sink`, which runs it or posts it to the
+  // shard's loop. That loop then calls DeliverToShard().
   using DispatchSink =
       std::function<void(size_t shard, NodeId from, MessageClass cls,
                          Packet&& packet)>;

@@ -1,5 +1,6 @@
 #include "src/runtime/node.h"
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 
@@ -44,73 +45,151 @@ class Waiter {
 
 }  // namespace
 
-RuntimeServer::RuntimeServer(NodeId id, EngineConfig config)
-    : id_(id),
-      config_(std::move(config)),
-      policy_(std::make_unique<FixedTermPolicy>(config_.term)) {}
+// Everything one shard owns. With 1 shard, `store` is unused: the server
+// serves the namespace store itself.
+struct RuntimeServer::Shard {
+  explicit Shard(Duration term) : policy(term) {}
 
-RuntimeServer::RuntimeServer(NodeId id, ServerParams params, Duration term)
-    : RuntimeServer(id, [&] {
-        EngineConfig config;
-        config.server = params;
-        config.term = term;
-        return config;
-      }()) {}
+  FileStore store;
+  // Set only by the durable Start overload; meta journals through it and
+  // must be destroyed first (declaration order keeps the backend alive).
+  std::unique_ptr<StorageBackend> storage;
+  DurableMeta meta;
+  FixedTermPolicy policy;
+  std::unique_ptr<EventLoop> loop;
+  // Deliveries posted to this shard's loop and not yet run.
+  std::atomic<uint64_t> in_flight{0};
+  std::atomic<uint64_t> processed{0};
+};
+
+RuntimeServer::RuntimeServer(NodeId id, EngineConfig config)
+    : id_(id), config_(std::move(config)) {
+  for (size_t i = 0; i < std::max<size_t>(config_.num_shards, 1); ++i) {
+    shards_.push_back(std::make_unique<Shard>(config_.term));
+  }
+}
 
 RuntimeServer::~RuntimeServer() { Stop(); }
 
 Status RuntimeServer::Start(uint16_t port) { return StartInternal(port); }
 
 Status RuntimeServer::Start(const std::string& data_dir, uint16_t port) {
-  auto journal = std::make_unique<JournalBackend>(data_dir);
-  Status opened = journal->Open();
-  if (!opened.ok()) {
-    return opened;
-  }
-  storage_ = std::move(journal);
-  meta_ = DurableMeta(storage_.get());
-  // Replay IS recovery: the rebuilt max term / boot count make the new
-  // server delay writes for the previous incarnation's grant window.
-  Status replayed = meta_.Reopen();
-  if (!replayed.ok()) {
-    return replayed;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard& shard = *shards_[i];
+    auto journal = std::make_unique<JournalBackend>(
+        shards_.size() == 1 ? data_dir
+                            : data_dir + "/shard-" + std::to_string(i));
+    Status opened = journal->Open();
+    if (!opened.ok()) {
+      return opened;
+    }
+    shard.storage = std::move(journal);
+    shard.meta = DurableMeta(shard.storage.get());
+    // Replay IS recovery: the rebuilt max term / boot count make the new
+    // server delay writes for the previous incarnation's grant window.
+    Status replayed = shard.meta.Reopen();
+    if (!replayed.ok()) {
+      return replayed;
+    }
   }
   return StartInternal(port);
 }
 
 Status RuntimeServer::StartInternal(uint16_t port) {
-  loop_ = std::make_unique<EventLoop>();
-  transport_ = std::make_unique<UdpTransport>(id_, loop_.get(), nullptr);
+  for (auto& shard : shards_) {
+    shard->loop = std::make_unique<EventLoop>();
+    shard->in_flight = 0;
+  }
+  EventLoop* io_loop = shards_[0]->loop.get();
+  transport_ = std::make_unique<UdpTransport>(id_, io_loop, nullptr);
   Status started = transport_->Start(port);
   if (!started.ok()) {
     return started;
   }
   // All protocol traffic goes through the fault decorator (a passthrough
-  // until faults are configured); delayed re-sends run on the loop.
+  // until faults are configured); delayed re-sends run on loop 0.
   faulty_ =
-      std::make_unique<FaultInjectingTransport>(transport_.get(), loop_.get());
+      std::make_unique<FaultInjectingTransport>(transport_.get(), io_loop);
   EngineEnv env;
   env.id = id_;
-  env.store = &store_;
-  env.meta = &meta_;
-  env.transport = faulty_.get();
-  env.clock = &clock_;
-  env.timers = loop_.get();
-  env.policy = policy_.get();
+  if (shards_.size() == 1) {
+    env.store = &store_;
+    env.meta = &shards_[0]->meta;
+    env.transport = faulty_.get();
+    env.clock = &clock_;
+    env.timers = io_loop;
+    env.policy = &shards_[0]->policy;
+  } else {
+    for (auto& shard : shards_) {
+      env.shards.push_back(ShardEnv{.store = &shard->store,
+                                    .meta = &shard->meta,
+                                    .clock = &clock_,
+                                    .timers = shard->loop.get(),
+                                    .transport = faulty_.get(),
+                                    .policy = &shard->policy});
+    }
+  }
   auto engine = MakeServerEngine(config_, std::move(env));
   if (!engine.ok()) {
     return Status(engine.error().code, engine.error().message);
   }
   engine_ = std::move(engine.value());
-  // Engine start (LeaseServer construction, timer arming) runs on the loop
-  // thread, preserving the single-threaded protocol model.
+  // Build the protocol objects and seed the shard partitions holding every
+  // loop's execution lock, so a timer one shard arms cannot fire before the
+  // other shards exist.
   Status serving;
-  loop_->RunSync([this, &serving]() { serving = engine_->Start(); });
+  RunExclusive(0, [this, &serving]() {
+    serving = engine_->Start();
+    if (serving.ok() && shards_.size() > 1) {
+      engine_->sharded()->AdoptAll(store_);
+    }
+  });
   if (!serving.ok()) {
     return serving;
   }
-  transport_->SetHandler(engine_.get());
+  transport_->SetHandler(shards_.size() == 1
+                             ? static_cast<PacketHandler*>(engine_.get())
+                             : this);
   return Status::Ok();
+}
+
+void RuntimeServer::RunExclusive(size_t shard,
+                                 const std::function<void()>& fn) {
+  if (shard == shards_.size()) {
+    fn();
+    return;
+  }
+  shards_[shard]->loop->RunInline([&]() { RunExclusive(shard + 1, fn); });
+}
+
+void RuntimeServer::HandlePacket(NodeId from, MessageClass cls,
+                                 std::span<const uint8_t> bytes) {
+  std::optional<Packet> packet = DecodePacket(bytes);
+  if (!packet) {
+    return;  // malformed datagrams are dropped, as in LeaseServer
+  }
+  ShardedLeaseServer* sharded = engine_->sharded();
+  sharded->Route(
+      from, cls, std::move(*packet),
+      [this, sharded](size_t i, NodeId f, MessageClass c, Packet&& p) {
+        Shard& shard = *shards_[i];
+        if (i == 0) {  // this loop's own shard: no hand-off
+          sharded->DeliverToShard(0, f, c, p);
+          ++shard.processed;
+          return;
+        }
+        // A shard that falls this far behind sheds input like the wire.
+        if (shard.in_flight++ >= kShardInboxLimit) {
+          --shard.in_flight;
+          ++dropped_;
+          return;
+        }
+        shard.loop->Post([sharded, &shard, i, f, c, p = std::move(p)]() {
+          sharded->DeliverToShard(i, f, c, p);
+          ++shard.processed;
+          --shard.in_flight;
+        });
+      });
 }
 
 void RuntimeServer::Stop() {
@@ -118,30 +197,56 @@ void RuntimeServer::Stop() {
     transport_->SetHandler(nullptr);
     transport_->Stop();
   }
-  if (loop_ != nullptr && engine_ != nullptr) {
-    loop_->RunSync([this]() { engine_.reset(); });
+  for (auto& shard : shards_) {
+    if (shard->loop != nullptr) {
+      shard->loop->Stop();  // joins the thread; posted deliveries are lost
+    }
   }
-  if (loop_ != nullptr) {
-    loop_->Stop();
-  }
+  // Every loop thread is joined, so tearing the protocol objects down is
+  // single-threaded (their destructors cancel timers on the stopped loops).
   engine_.reset();
-  faulty_.reset();  // after Stop: no more loop callbacks into the decorator
+  faulty_.reset();
   transport_.reset();
-  loop_.reset();
+  for (auto& shard : shards_) {
+    shard->loop.reset();
+  }
+}
+
+LeaseServer& RuntimeServer::ShardServer(size_t shard) {
+  return shards_.size() == 1 ? *engine_->plain()
+                             : engine_->sharded()->shard(shard);
 }
 
 void RuntimeServer::WithServer(std::function<void(LeaseServer&)> fn) {
-  LEASES_CHECK(loop_ != nullptr && engine_ != nullptr);
-  loop_->RunSync([this, &fn]() { fn(*engine_->plain()); });
+  LEASES_CHECK(engine_ != nullptr);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i]->loop->RunSync([this, i, &fn]() { fn(ShardServer(i)); });
+  }
 }
 
 ServerStats RuntimeServer::stats() {
-  ServerStats out;
-  WithServer([&out](LeaseServer& server) { out = server.stats(); });
-  // Transport plane: local send failures are invisible to the protocol (it
-  // reads them as wire loss), so surface them alongside the server counters.
+  std::vector<ServerStats> snapshots;
+  WithServer([&snapshots](LeaseServer& server) {
+    snapshots.push_back(server.stats());
+  });
+  ServerStats out = snapshots[0];
+  for (size_t i = 1; i < snapshots.size(); ++i) {
+    MergeServerStats(&out, snapshots[i]);
+  }
+  // Transport plane: local send failures and inbound drops are invisible
+  // to the protocol (it reads them as wire loss), so surface them alongside
+  // the server counters.
   out.send_failures = transport_->stats().send_failures;
+  out.inbound_drops = dropped();
   return out;
+}
+
+uint64_t RuntimeServer::processed() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->processed.load();
+  }
+  return total;
 }
 
 RuntimeClient::RuntimeClient(NodeId id, NodeId server_id, FileId root,

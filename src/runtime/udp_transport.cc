@@ -40,7 +40,9 @@ struct UdpTransport::RecvBatch {
 
 UdpTransport::UdpTransport(NodeId self, EventLoop* loop,
                            PacketHandler* handler)
-    : self_(self), loop_(loop), handler_(handler) {}
+    : self_(self), loop_(loop), handler_(handler) {
+  LEASES_CHECK(loop_ != nullptr);
+}
 
 UdpTransport::~UdpTransport() { Stop(); }
 
@@ -66,12 +68,7 @@ Status UdpTransport::Start(uint16_t port) {
   }
   port_ = ntohs(addr.sin_port);
   recv_ = std::make_unique<RecvBatch>();
-  if (loop_ != nullptr) {
-    loop_->WatchFd(fd_, [this]() { DrainOnLoop(); });
-    return Status::Ok();
-  }
-  stopping_ = false;
-  receiver_ = std::thread([this]() { ReceiverThread(); });
+  loop_->WatchFd(fd_, [this]() { DrainOnLoop(); });
   return Status::Ok();
 }
 
@@ -79,28 +76,8 @@ void UdpTransport::Stop() {
   if (fd_ < 0) {
     return;
   }
-  if (loop_ != nullptr) {
-    // Returns only once the drain callback is not running and never will.
-    loop_->UnwatchFd(fd_);
-  } else {
-    stopping_ = true;
-    ::shutdown(fd_, SHUT_RDWR);
-    // shutdown() does not reliably wake a blocked recvfrom on UDP; nudge it.
-    int wake = ::socket(AF_INET, SOCK_DGRAM, 0);
-    if (wake >= 0) {
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(port_);
-      uint8_t zero = 0;
-      ::sendto(wake, &zero, 1, 0, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr));
-      ::close(wake);
-    }
-    if (receiver_.joinable()) {
-      receiver_.join();
-    }
-  }
+  // Returns only once the drain callback is not running and never will.
+  loop_->UnwatchFd(fd_);
   std::lock_guard<std::mutex> lock(fd_mu_);
   ::close(fd_);
   fd_ = -1;
@@ -240,37 +217,16 @@ void UdpTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
   }
 }
 
-void UdpTransport::ReceiverThread() {
-  // MSG_WAITFORONE blocks for the first datagram and then takes whatever
-  // else is already queued, so an idle socket still costs one blocking call.
-  while (!stopping_) {
-    int got = ::recvmmsg(fd_, recv_->msgs, RecvBatch::kSize, MSG_WAITFORONE,
-                         nullptr);
-    if (stopping_) {
-      return;
-    }
-    if (got > 0) {
-      DeliverBatch(got);
-    }
-  }
-}
-
 void UdpTransport::DrainOnLoop() {
   // One batch per wake-up: the loop polls level-triggered, so anything left
   // queued comes back on the next pass, after due timers and tasks.
   int got = ::recvmmsg(fd_, recv_->msgs, RecvBatch::kSize, MSG_DONTWAIT,
                        nullptr);
-  if (got > 0) {
-    DeliverBatch(got);
-  }
-}
-
-void UdpTransport::DeliverBatch(int got) {
   for (int m = 0; m < got; ++m) {
     const std::vector<uint8_t>& buffer = recv_->buffers[m];
     auto n = static_cast<size_t>(recv_->msgs[m].msg_len);
     if (n < kHeaderSize) {
-      continue;  // wake-up byte or damaged frame
+      continue;  // damaged frame
     }
     uint32_t sender = static_cast<uint32_t>(buffer[0]) |
                       (static_cast<uint32_t>(buffer[1]) << 8) |
@@ -286,12 +242,6 @@ void UdpTransport::DeliverBatch(int got) {
     }
     std::span<const uint8_t> payload(buffer.data() + kHeaderSize,
                                      n - kHeaderSize);
-    if (raw_handler_) {
-      // Shard-engine path: decode + route on this thread; the protocol
-      // work itself runs on the owning shard's thread.
-      raw_handler_(NodeId(sender), cls, payload);
-      continue;
-    }
     PacketHandler* handler = handler_.load();
     if (handler != nullptr) {
       handler->HandlePacket(NodeId(sender), cls, payload);
@@ -301,176 +251,7 @@ void UdpTransport::DeliverBatch(int got) {
 
 NodeMessageStats UdpTransport::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  NodeMessageStats merged = stats_;
-  for (const std::atomic<uint64_t>* counters : batch_counters_) {
-    for (int cls = 0; cls < kNumMessageClasses; ++cls) {
-      merged.sent[cls] += counters[cls].load(std::memory_order_relaxed);
-    }
-  }
-  return merged;
-}
-
-void UdpTransport::RegisterBatchCounters(
-    const std::atomic<uint64_t>* counters) {
-  std::lock_guard<std::mutex> lock(mu_);
-  batch_counters_.push_back(counters);
-}
-
-void UdpTransport::UnregisterBatchCounters(
-    const std::atomic<uint64_t>* counters) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = batch_counters_.begin(); it != batch_counters_.end(); ++it) {
-    if (*it == counters) {
-      // Fold the departing sender's totals into the transport's own
-      // counters so stats() never goes backwards.
-      for (int cls = 0; cls < kNumMessageClasses; ++cls) {
-        stats_.sent[cls] += counters[cls].load(std::memory_order_relaxed);
-      }
-      batch_counters_.erase(it);
-      return;
-    }
-  }
-}
-
-// --- UdpBatchSender ---
-
-UdpBatchSender::UdpBatchSender(UdpTransport* transport, size_t max_batch)
-    : transport_(transport), slots_(max_batch) {
-  transport_->RegisterBatchCounters(sent_);
-}
-
-UdpBatchSender::~UdpBatchSender() {
-  transport_->UnregisterBatchCounters(sent_);
-}
-
-UdpBatchSender::Slot* UdpBatchSender::NextSlot(NodeId dst) {
-  if (pending_ == slots_.size()) {
-    Flush();
-  }
-  Slot& slot = slots_[pending_];
-  if (!transport_->ResolvePeer(dst, &slot.addr)) {
-    return nullptr;  // unregistered peer; already counted as a send failure
-  }
-  ++pending_;
-  return &slot;
-}
-
-void UdpBatchSender::WriteHeader(std::vector<uint8_t>* frame,
-                                 MessageClass cls) {
-  frame->clear();
-  uint32_t id = transport_->self_.value();
-  frame->push_back(static_cast<uint8_t>(id));
-  frame->push_back(static_cast<uint8_t>(id >> 8));
-  frame->push_back(static_cast<uint8_t>(id >> 16));
-  frame->push_back(static_cast<uint8_t>(id >> 24));
-  frame->push_back(static_cast<uint8_t>(cls));
-}
-
-void UdpBatchSender::CountSent(MessageClass cls) {
-  // Hot path: shard-local relaxed increment. The old implementation locked
-  // the shared transport mutex per queued datagram, serializing every
-  // shard's send path on one lock under load.
-  sent_[static_cast<int>(cls)].fetch_add(1, std::memory_order_relaxed);
-}
-
-void UdpBatchSender::QueueScratchTo(std::span<const NodeId> dst) {
-  for (NodeId node : dst) {
-    if (node == transport_->self_) {
-      continue;
-    }
-    Slot* slot = NextSlot(node);
-    if (slot == nullptr) {
-      continue;
-    }
-    slot->frame = scratch_;
-  }
-}
-
-void UdpBatchSender::Send(NodeId dst, MessageClass cls, Packet packet) {
-  Slot* slot = NextSlot(dst);
-  if (slot == nullptr) {
-    return;
-  }
-  WriteHeader(&slot->frame, cls);
-  EncodePacketInto(packet, &slot->frame);
-  LEASES_CHECK(slot->frame.size() <= kMaxDatagram);
-  CountSent(cls);
-}
-
-void UdpBatchSender::Send(NodeId dst, MessageClass cls,
-                          std::vector<uint8_t> bytes) {
-  LEASES_CHECK(bytes.size() + kHeaderSize <= kMaxDatagram);
-  Slot* slot = NextSlot(dst);
-  if (slot == nullptr) {
-    return;
-  }
-  WriteHeader(&slot->frame, cls);
-  slot->frame.insert(slot->frame.end(), bytes.begin(), bytes.end());
-  CountSent(cls);
-}
-
-void UdpBatchSender::Multicast(std::span<const NodeId> dst, MessageClass cls,
-                               Packet packet) {
-  WriteHeader(&scratch_, cls);
-  EncodePacketInto(packet, &scratch_);
-  LEASES_CHECK(scratch_.size() <= kMaxDatagram);
-  // One logical send, per the paper's multicast cost model.
-  CountSent(cls);
-  QueueScratchTo(dst);
-}
-
-void UdpBatchSender::Multicast(std::span<const NodeId> dst, MessageClass cls,
-                               std::vector<uint8_t> bytes) {
-  LEASES_CHECK(bytes.size() + kHeaderSize <= kMaxDatagram);
-  WriteHeader(&scratch_, cls);
-  scratch_.insert(scratch_.end(), bytes.begin(), bytes.end());
-  CountSent(cls);
-  QueueScratchTo(dst);
-}
-
-void UdpBatchSender::Flush() {
-  if (pending_ == 0) {
-    return;
-  }
-  // Scratch headers built per flush (cheap, stack-free growth avoided by
-  // the modest batch bound).
-  std::vector<mmsghdr> msgs(pending_);
-  std::vector<iovec> iovs(pending_);
-  for (size_t i = 0; i < pending_; ++i) {
-    iovs[i] = {slots_[i].frame.data(), slots_[i].frame.size()};
-    std::memset(&msgs[i], 0, sizeof(msgs[i]));
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &slots_[i].addr;
-    msgs[i].msg_hdr.msg_namelen = sizeof(slots_[i].addr);
-  }
-  size_t done = 0;
-  {
-    std::lock_guard<std::mutex> lock(transport_->fd_mu_);
-    if (transport_->fd_ < 0) {
-      pending_ = 0;
-      return;  // transport stopped; like a crash, the batch is lost
-    }
-    while (done < pending_) {
-      int sent = ::sendmmsg(transport_->fd_, msgs.data() + done,
-                            static_cast<unsigned>(pending_ - done), 0);
-      if (sent <= 0) {
-        break;
-      }
-      // A short datagram write within a successful sendmmsg is a failure
-      // for that message only.
-      for (int i = 0; i < sent; ++i) {
-        if (msgs[done + i].msg_len != slots_[done + i].frame.size()) {
-          transport_->CountSendFailure();
-        }
-      }
-      done += static_cast<size_t>(sent);
-    }
-  }
-  for (size_t i = done; i < pending_; ++i) {
-    transport_->CountSendFailure();
-  }
-  pending_ = 0;
+  return stats_;
 }
 
 }  // namespace leases

@@ -1,5 +1,7 @@
 // The lease protocol over real UDP sockets and real timers: the same state
-// machines as the simulation, on the localhost runtime.
+// machines as the simulation, on the localhost runtime. The fixture and
+// durability cases run against both host shapes: one shard, and two shards
+// on two event loops.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -21,12 +23,19 @@ std::vector<uint8_t> B(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
-class RuntimeFixture : public ::testing::Test {
+EngineConfig ServerConfig(Duration term, size_t num_shards = 1) {
+  EngineConfig config;
+  config.term = term;
+  config.num_shards = num_shards;
+  return config;
+}
+
+// Parameter: the server's shard count.
+class RuntimeFixture : public ::testing::TestWithParam<size_t> {
  protected:
   void SetUp() override {
-    ServerParams server_params;
-    server = std::make_unique<RuntimeServer>(NodeId(1), server_params,
-                                             Duration::Seconds(2));
+    server = std::make_unique<RuntimeServer>(
+        NodeId(1), ServerConfig(Duration::Seconds(2), GetParam()));
     file = *server->store().CreatePath("/data/hello", FileClass::kNormal,
                                        B("world"));
     ASSERT_TRUE(server->Start().ok());
@@ -51,7 +60,7 @@ class RuntimeFixture : public ::testing::Test {
   FileId file;
 };
 
-TEST_F(RuntimeFixture, OpenReadWriteOverSockets) {
+TEST_P(RuntimeFixture, OpenReadWriteOverSockets) {
   Result<OpenResult> open = client->Open("/data/hello");
   ASSERT_TRUE(open.ok()) << open.error().ToString();
   EXPECT_EQ(open->file, file);
@@ -71,7 +80,7 @@ TEST_F(RuntimeFixture, OpenReadWriteOverSockets) {
   EXPECT_EQ(std::string(again->data.begin(), again->data.end()), "there");
 }
 
-TEST_F(RuntimeFixture, LeaseExpiresOnRealClock) {
+TEST_P(RuntimeFixture, LeaseExpiresOnRealClock) {
   ASSERT_TRUE(client->Read(file).ok());
   ClientStats before = client->stats();
   EXPECT_EQ(before.extend_requests, 0u);
@@ -83,7 +92,7 @@ TEST_F(RuntimeFixture, LeaseExpiresOnRealClock) {
   EXPECT_EQ(client->stats().extend_requests, 1u);
 }
 
-TEST_F(RuntimeFixture, RetransmissionSurvivesDatagramLoss) {
+TEST_P(RuntimeFixture, RetransmissionSurvivesDatagramLoss) {
   // Drop every 2nd outgoing datagram from the client; retries (same request
   // id, server-side dedup) must still complete every operation exactly once.
   client->WithClient([](CacheClient&) {});
@@ -99,7 +108,7 @@ TEST_F(RuntimeFixture, RetransmissionSurvivesDatagramLoss) {
   EXPECT_GT(client->stats().retransmits, 0u);
 }
 
-TEST_F(RuntimeFixture, DuplicatedAndDelayedDatagramsAreHarmless) {
+TEST_P(RuntimeFixture, DuplicatedAndDelayedDatagramsAreHarmless) {
   // Duplicate half the client's datagrams and jitter a third of them; the
   // request-id dedup and version-monotonic reply handling must keep every
   // operation exactly-once over the real backend.
@@ -120,8 +129,12 @@ TEST_F(RuntimeFixture, DuplicatedAndDelayedDatagramsAreHarmless) {
   EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "d3");
 }
 
+INSTANTIATE_TEST_SUITE_P(Shards, RuntimeFixture,
+                         ::testing::Values(size_t{1}, size_t{2}),
+                         ::testing::PrintToStringParamName());
+
 TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
-  RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(5));
+  RuntimeServer server(NodeId(1), ServerConfig(Duration::Seconds(5)));
   FileId file = *server.store().CreatePath("/shared", FileClass::kNormal,
                                            B("v1"));
   ASSERT_TRUE(server.Start().ok());
@@ -166,7 +179,7 @@ TEST(RuntimeConcurrency, InlineCallersShareAClientWhileAnotherWrites) {
   constexpr int kCallers = 3;
   const auto run_for = std::chrono::milliseconds(1500);
 
-  RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(2));
+  RuntimeServer server(NodeId(1), ServerConfig(Duration::Seconds(2)));
   std::array<FileId, kFiles> files;
   for (int f = 0; f < kFiles; ++f) {
     files[f] = *server.store().CreatePath("/f" + std::to_string(f),
@@ -262,7 +275,7 @@ TEST(RuntimeDeathTest, ReadFromInsideWithClientAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
-        RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(2));
+        RuntimeServer server(NodeId(1), ServerConfig(Duration::Seconds(2)));
         FileId file = *server.store().CreatePath("/f", FileClass::kNormal,
                                                  B("x"));
         if (!server.Start().ok()) {
@@ -278,7 +291,11 @@ TEST(RuntimeDeathTest, ReadFromInsideWithClientAborts) {
       "InLoopThread");
 }
 
-TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
+// Parameter: the server's shard count.
+class RuntimeDurability : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
+  const size_t shards = GetParam();
   const std::string dir =
       "leases_runtime_durable." + std::to_string(::getpid()) + ".tmp";
   std::filesystem::remove_all(dir);
@@ -289,7 +306,8 @@ TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   // First incarnation journals its recovery state under `dir`; a client
   // read leaves a 1 s lease granted.
   {
-    RuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(1));
+    RuntimeServer server(NodeId(1),
+                         ServerConfig(Duration::Seconds(1), shards));
     FileId file = *server.store().CreatePath("/data/hello",
                                              FileClass::kNormal, B("v1"));
     ASSERT_TRUE(server.Start(dir).ok());
@@ -304,21 +322,25 @@ TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
     server.Stop();
     // The server process dies here; only `dir` survives.
   }
+  // A sharded server journals each shard in its own subdirectory.
+  EXPECT_EQ(std::filesystem::exists(dir + "/shard-1"), shards > 1);
 
   // Second incarnation over the same directory: it must find the durable
   // state, advance the boot counter, and hold writes for the granted term.
-  RuntimeServer reborn(NodeId(1), ServerParams{}, Duration::Seconds(1));
+  RuntimeServer reborn(NodeId(1),
+                       ServerConfig(Duration::Seconds(1), shards));
   FileId file = *reborn.store().CreatePath("/data/hello", FileClass::kNormal,
                                            B("v1"));
   ASSERT_TRUE(reborn.Start(dir).ok());
   ServerStats stats = reborn.stats();
-  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.recoveries, shards);  // every shard journals a boot count
   EXPECT_EQ(stats.recovery_window, Duration::Seconds(1));
   EXPECT_GE(stats.journal_replays, 1u);
   EXPECT_GT(stats.journal_replayed_records, 0u);
+  // The shard that granted the lease holds writes for its term.
   bool in_recovery = false;
   reborn.WithServer(
-      [&](LeaseServer& s) { in_recovery = s.InRecovery(); });
+      [&](LeaseServer& s) { in_recovery = in_recovery || s.InRecovery(); });
   EXPECT_TRUE(in_recovery);
 
   // A write during the window is held, not lost: it commits once the
@@ -336,6 +358,10 @@ TEST(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   reborn.Stop();
   std::filesystem::remove_all(dir);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, RuntimeDurability,
+                         ::testing::Values(size_t{1}, size_t{2}),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace leases

@@ -1,20 +1,21 @@
 // The sharded grant plane under real concurrency: several RuntimeClients
-// hammer a ShardedRuntimeServer over UDP, exercising the receiver-thread
-// routing, the SPSC shard queues, the per-shard timer queues and the
-// sendmmsg outbound batchers all at once. Run under TSan in the sanitizer
-// tier (tools/run_sanitizer_tier.sh), this is the proof that the hot path
-// is race-free, not merely lock-free.
+// hammer a sharded RuntimeServer over UDP, exercising routing on the socket's
+// loop, deliveries posted to the other shard loops, the per-shard timers and
+// every shard sending through one UDP transport at once. Run under TSan in
+// the sanitizer tier (tools/run_sanitizer_tier.sh), this is the proof that
+// the hot path is race-free.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/shard_router.h"
+#include "src/runtime/event_loop.h"
 #include "src/runtime/node.h"
-#include "src/runtime/sharded_node.h"
 #include "src/runtime/udp_transport.h"
 
 namespace leases {
@@ -22,6 +23,13 @@ namespace {
 
 std::vector<uint8_t> B(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
+}
+
+EngineConfig ShardedConfig(Duration term, size_t num_shards) {
+  EngineConfig config;
+  config.term = term;
+  config.num_shards = num_shards;
+  return config;
 }
 
 ClientParams TestClientParams() {
@@ -38,8 +46,8 @@ TEST(ShardConcurrency, ClientsHammerAllShardsThroughBatchedUdp) {
   constexpr size_t kFiles = 16;
   constexpr int kRounds = 30;
 
-  ShardedRuntimeServer server(NodeId(1), ServerParams{}, Duration::Seconds(5),
-                              kShards);
+  RuntimeServer server(NodeId(1),
+                       ShardedConfig(Duration::Seconds(5), kShards));
   std::vector<FileId> files;
   for (size_t i = 0; i < kFiles; ++i) {
     files.push_back(*server.store().CreatePath(
@@ -133,12 +141,12 @@ TEST(ShardConcurrency, ClientsHammerAllShardsThroughBatchedUdp) {
 TEST(ShardConcurrency, CrossShardBatchedExtendOverUdp) {
   // Short term so the client's whole working set lapses together; the
   // batched ExtendRequest then spans shards and exercises the split/merge
-  // rendezvous with real per-shard threads replying through real batchers.
+  // rendezvous with real shard loops replying through one transport.
   constexpr size_t kShards = 8;
   constexpr size_t kFiles = 12;
 
-  ShardedRuntimeServer server(NodeId(1), ServerParams{},
-                              Duration::Millis(800), kShards);
+  RuntimeServer server(NodeId(1),
+                       ShardedConfig(Duration::Millis(800), kShards));
   std::vector<FileId> files;
   for (size_t i = 0; i < kFiles; ++i) {
     files.push_back(*server.store().CreatePath(
@@ -171,32 +179,40 @@ TEST(ShardConcurrency, CrossShardBatchedExtendOverUdp) {
   server.Stop();
 }
 
-// Regression for the per-send stats mutex removal: UdpBatchSender counts
-// sends into shard-local atomics and UdpTransport::stats() merges them --
-// live senders by reading their counters, destroyed senders by the fold in
-// UnregisterBatchCounters. N shard threads hammering their own batchers
-// must yield *exact* merged totals, stats() must be safe to read mid-storm
-// (this test runs under TSan in the sanitizer tier), and the merged view
-// must never go backwards.
-TEST(ShardConcurrency, BatchSenderStatsMergeIsExactUnderContention) {
+// The shards of a sharded server all send through one UdpTransport. N
+// threads sending through it at once must leave exact per-class sent
+// counts, stats() must be safe to read mid-storm (this test runs under TSan
+// in the sanitizer tier) and never go backwards, and every datagram must
+// reach the sink.
+TEST(ShardConcurrency, SharedTransportSendsAreExactUnderContention) {
   constexpr size_t kThreads = 8;
-  constexpr int kSendsPerThreadPerClass = 2000;
+  constexpr uint64_t kSendsPerThreadPerClass = 2000;
+  // Datagrams in flight at most (plus one per thread), so the sink's socket
+  // buffer never overflows and the test counts sends, not kernel drops.
+  constexpr uint64_t kWindow = 64;
 
-  UdpTransport sink(NodeId(9), nullptr, nullptr);
-  sink.SetRawHandler([](NodeId, MessageClass, std::span<const uint8_t>) {});
+  struct Counter : PacketHandler {
+    std::atomic<uint64_t> count[kNumMessageClasses] = {};
+    void HandlePacket(NodeId, MessageClass cls,
+                      std::span<const uint8_t>) override {
+      count[static_cast<int>(cls)].fetch_add(1);
+    }
+    uint64_t total() const {
+      uint64_t sum = 0;
+      for (const auto& c : count) {
+        sum += c.load();
+      }
+      return sum;
+    }
+  } counter;
+
+  EventLoop sink_loop;
+  EventLoop loop;
+  UdpTransport sink(NodeId(9), &sink_loop, &counter);
   ASSERT_TRUE(sink.Start().ok());
-  UdpTransport transport(NodeId(10), nullptr, nullptr);
-  transport.SetRawHandler([](NodeId, MessageClass, std::span<const uint8_t>) {});
+  UdpTransport transport(NodeId(10), &loop, nullptr);
   ASSERT_TRUE(transport.Start().ok());
   transport.AddPeer(NodeId(9), sink.port());
-
-  const NodeMessageStats before = transport.stats();
-
-  // One batcher per shard thread, all counting against the same transport.
-  std::vector<std::unique_ptr<UdpBatchSender>> batchers;
-  for (size_t t = 0; t < kThreads; ++t) {
-    batchers.push_back(std::make_unique<UdpBatchSender>(&transport));
-  }
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> regressions{0};
@@ -211,44 +227,126 @@ TEST(ShardConcurrency, BatchSenderStatsMergeIsExactUnderContention) {
     }
   });
 
+  std::atomic<uint64_t> issued{0};
+  auto send = [&](MessageClass cls, uint64_t i) {
+    while (issued.load() >= counter.total() + kWindow) {
+      std::this_thread::yield();
+    }
+    ReadRequest m;
+    m.req = RequestId(i + 1);
+    m.file = FileId(i + 1);
+    transport.Send(NodeId(9), cls, Packet(std::move(m)));
+    issued.fetch_add(1);
+  };
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      UdpBatchSender& batcher = *batchers[t];
-      for (int i = 0; i < kSendsPerThreadPerClass; ++i) {
-        batcher.Send(NodeId(9), MessageClass::kData, B("d"));
-        batcher.Send(NodeId(9), MessageClass::kConsistency, B("c"));
+    threads.emplace_back([&]() {
+      for (uint64_t i = 0; i < kSendsPerThreadPerClass; ++i) {
+        send(MessageClass::kData, i);
+        send(MessageClass::kConsistency, i);
       }
-      batcher.Flush();
     });
   }
   for (std::thread& t : threads) {
     t.join();
   }
-
-  // Destroy half the batchers so the final merge combines folded totals
-  // (transport-side) with live shard-local counters.
-  for (size_t t = 0; t < kThreads; t += 2) {
-    batchers[t].reset();
-  }
-
-  const NodeMessageStats after = transport.stats();
+  const NodeMessageStats sent = transport.stats();
   done.store(true, std::memory_order_relaxed);
   reader.join();
 
-  const uint64_t expected = kThreads * uint64_t{kSendsPerThreadPerClass};
-  EXPECT_EQ(after.sent[static_cast<int>(MessageClass::kData)] -
-                before.sent[static_cast<int>(MessageClass::kData)],
-            expected);
-  EXPECT_EQ(after.sent[static_cast<int>(MessageClass::kConsistency)] -
-                before.sent[static_cast<int>(MessageClass::kConsistency)],
-            expected);
-  EXPECT_EQ(after.send_failures, before.send_failures);
+  const uint64_t expected = kThreads * kSendsPerThreadPerClass;
+  for (int i = 0; i < 1000 && counter.total() < 2 * expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (MessageClass cls : {MessageClass::kData, MessageClass::kConsistency}) {
+    const int c = static_cast<int>(cls);
+    EXPECT_EQ(sent.sent[c], expected);
+    EXPECT_EQ(counter.count[c].load(), expected);
+    EXPECT_EQ(sink.stats().received[c], expected);
+  }
+  EXPECT_EQ(sent.send_failures, 0u);
   EXPECT_EQ(regressions.load(), 0u);
 
-  batchers.clear();
   transport.Stop();
   sink.Stop();
+}
+
+// A shard that stops draining sheds its input past kShardInboxLimit queued
+// deliveries, counts every drop, and serves normally once it drains again.
+TEST(ShardConcurrency, BlockedShardDropsInboundAndRecovers) {
+  constexpr size_t kShards = 2;
+  RuntimeServer server(NodeId(1),
+                       ShardedConfig(Duration::Seconds(5), kShards));
+  std::vector<FileId> files;  // one file per shard, in shard order
+  for (int i = 0; files.size() < kShards; ++i) {
+    FileId f = *server.store().CreatePath("/d/f" + std::to_string(i),
+                                          FileClass::kNormal, B("seed"));
+    if (ShardIndexOf(f, kShards) == files.size()) {
+      files.push_back(f);
+    }
+  }
+  ASSERT_TRUE(server.Start().ok());
+  LeaseServer* shard1 = &server.engine().sharded()->shard(1);
+
+  // Park shard 1's loop inside WithServer until released.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread blocker([&]() {
+    server.WithServer([&](LeaseServer& shard) {
+      if (&shard == shard1) {
+        parked.set_value();
+        released.wait();
+      }
+    });
+  });
+  parked.get_future().wait();
+
+  // Read requests for shard 1's file from a bare transport, paced so the
+  // server's socket keeps up, until the shard's inbox overflows.
+  EventLoop flood_loop;
+  UdpTransport flood(NodeId(7), &flood_loop, nullptr);
+  ASSERT_TRUE(flood.Start().ok());
+  flood.AddPeer(NodeId(1), server.port());
+  server.AddPeer(NodeId(7), flood.port());
+  uint64_t sent = 0;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.dropped() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    ReadRequest m;
+    m.req = RequestId(++sent);
+    m.file = files[1];
+    flood.Send(NodeId(1), MessageClass::kData, Packet(std::move(m)));
+    if (sent % 16 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  EXPECT_GT(sent, RuntimeServer::kShardInboxLimit);
+  EXPECT_GT(server.dropped(), 0u);
+  release.set_value();
+  blocker.join();
+
+  EXPECT_EQ(server.stats().inbound_drops, server.dropped());
+  EXPECT_GT(server.stats().inbound_drops, 0u);
+  RuntimeClient client(NodeId(2), NodeId(1), server.store().root(),
+                       TestClientParams());
+  ASSERT_TRUE(client.Start(server.port()).ok());
+  server.AddPeer(NodeId(2), client.port());
+  for (FileId f : files) {
+    Result<ReadResult> r = client.Read(f, Duration::Seconds(10));
+    ASSERT_TRUE(r.ok()) << r.error().ToString();
+    EXPECT_EQ(std::string(r->data.begin(), r->data.end()), "seed");
+  }
+  // The flood holds leases on shard 1's file, so write shard 0's.
+  Result<WriteResult> w =
+      client.Write(files[0], B("after"), Duration::Seconds(10));
+  ASSERT_TRUE(w.ok()) << w.error().ToString();
+  // Everything admitted to shard 1's inbox ran once it drained.
+  EXPECT_GE(server.processed(), RuntimeServer::kShardInboxLimit);
+
+  client.Stop();
+  flood.Stop();
+  server.Stop();
 }
 
 }  // namespace

@@ -36,9 +36,10 @@ fi
 # on, the durable storage plane (raw-fd journal I/O plus the crash-point
 # matrix, which ASan checks for leaks/overflows across injected crashes),
 # and the sharded grant plane -- shard_test covers the routing/split logic,
-# shard_concurrency_test hammers the shard threads, SPSC rings and batched
-# UDP senders (including the lock-free per-shard send counters stats() has
-# to merge mid-storm), which is exactly the surface TSan exists to check.
+# shard_concurrency_test hammers the per-shard event loops, the deliveries
+# the socket's loop posts to them and the one UDP transport every shard
+# sends through (including its send counters read mid-storm), which is
+# exactly the surface TSan exists to check.
 # swarm_test drives the million-client swarm plane's SoA clients, multicast
 # renewal and admission control through ASan for lifetime/indexing bugs.
 # The replica tier (engine_test, replica_test, runtime_replica_test) covers
