@@ -9,8 +9,9 @@
 // Usage:
 //   bench_shard [--shards N] [--files N] [--ops N] [--json [path]]
 //
-// --shards runs one configuration instead of the sweep; --json writes
-// BENCH_SHARD.json (schema 1) for trend tracking.
+// --shards runs one configuration instead of the sweep and prints no
+// speedup or efficiency (there is no baseline to scale against); --json
+// writes BENCH_SHARD.json (schema 1) for trend tracking.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -38,16 +39,24 @@ int Run(const std::vector<size_t>& shard_counts, size_t files, size_t ops,
   for (size_t s : shard_counts) {
     results.push_back(RunShardBenchBest(s, files, ops));
   }
+  // Speedup is against the first (1-shard) configuration of a sweep.
+  const bool swept = results.size() > 1;
   double base = results[0].ops_per_sec;
+  auto speedup = [base](const ShardBenchResult& r) {
+    return base > 0 ? r.ops_per_sec / base : 0;
+  };
 
   std::printf("shard scaling: %zu files x %zu ops/file, hw_threads=%zu%s\n",
               files, ops, hw, degraded ? " [DEGRADED: shards > cores]" : "");
-  std::printf("%8s %14s %10s %12s\n", "shards", "ops/s", "speedup",
-              "efficiency");
+  std::printf("%8s %14s", "shards", "ops/s");
+  std::printf(swept ? " %10s %12s\n" : "\n", "speedup", "efficiency");
   for (const ShardBenchResult& r : results) {
-    double speedup = base > 0 ? r.ops_per_sec / base : 0;
-    std::printf("%8zu %14.0f %9.2fx %11.0f%%\n", r.shards, r.ops_per_sec,
-                speedup, 100.0 * speedup / static_cast<double>(r.shards));
+    std::printf("%8zu %14.0f", r.shards, r.ops_per_sec);
+    if (swept) {
+      std::printf(" %9.2fx %11.0f%%", speedup(r),
+                  100.0 * speedup(r) / static_cast<double>(r.shards));
+    }
+    std::printf("\n");
   }
 
   if (json_path != nullptr) {
@@ -67,13 +76,14 @@ int Run(const std::vector<size_t>& shard_counts, size_t files, size_t ops,
                  files, ops, hw, degraded ? "true" : "false");
     for (size_t i = 0; i < results.size(); ++i) {
       const ShardBenchResult& r = results[i];
-      double speedup = base > 0 ? r.ops_per_sec / base : 0;
-      std::fprintf(f,
-                   "    {\"shards\": %zu, \"ops\": %llu, "
-                   "\"ops_per_sec\": %.0f, \"speedup\": %.2f}%s\n",
+      std::fprintf(f, "    {\"shards\": %zu, \"ops\": %llu, "
+                   "\"ops_per_sec\": %.0f",
                    r.shards, static_cast<unsigned long long>(r.ops),
-                   r.ops_per_sec, speedup,
-                   i + 1 < results.size() ? "," : "");
+                   r.ops_per_sec);
+      if (swept) {
+        std::fprintf(f, ", \"speedup\": %.2f", speedup(r));
+      }
+      std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

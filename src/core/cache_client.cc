@@ -612,10 +612,10 @@ Duration CacheClient::ResendDelay(int retries, uint64_t salt) const {
   // Resend pacing for silent losses (dead server, failover window): the
   // same deterministic jitter machinery, seeded at request_timeout. A
   // fleet probing a restarting server therefore spreads its resends
-  // instead of re-synchronizing every timeout. A cap at or below the
-  // timeout keeps the wait flat (jitter only).
-  Duration cap = std::max(params_.resend_backoff_max, params_.request_timeout);
-  return JitteredBackoff(params_.request_timeout, cap, retries, salt);
+  // instead of re-synchronizing every timeout. Capped at the timeout
+  // itself, the wait stays flat (jitter only).
+  return JitteredBackoff(params_.request_timeout, params_.request_timeout,
+                         retries, salt);
 }
 
 void CacheClient::OnWriteReply(const WriteReply& m) {

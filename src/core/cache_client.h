@@ -248,8 +248,7 @@ class CacheClient : public PacketHandler {
   // salted by the request id.
   Duration UnavailableBackoff(int retries, uint64_t salt) const;
   // Wait before declaring the attempt after `retries` resends lost:
-  // request_timeout doubled per resend up to resend_backoff_max, same
-  // deterministic jitter (ClientParams::resend_backoff_max).
+  // request_timeout with the same deterministic jitter.
   Duration ResendDelay(int retries, uint64_t salt) const;
   void StageWriteBack(FileId file, Entry& entry, std::vector<uint8_t> data,
                       WriteCallback cb);

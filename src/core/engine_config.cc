@@ -39,8 +39,9 @@ Status EngineConfig::Validate() const {
     }
     if (!data_dir.empty()) {
       return Invalid(
-          "data_dir is incompatible with num_shards > 1: sharded recovery "
-          "metadata lives in per-shard memory backends");
+          "data_dir is incompatible with num_shards > 1: SimCluster keeps "
+          "sharded recovery metadata in per-shard memory backends (a "
+          "runtime host journals each shard via RuntimeServer::Start)");
     }
   }
   if (replica.num_replicas > 0) {
@@ -58,9 +59,9 @@ Status EngineConfig::Validate() const {
     }
     if (!data_dir.empty()) {
       return Invalid(
-          "data_dir is incompatible with replication: authority acquisition "
-          "is diskless (PaxosLease), replicas keep per-node memory "
-          "metadata");
+          "data_dir is incompatible with replication: SimCluster replicas "
+          "are diskless, with per-node memory metadata (a runtime replica "
+          "journals via RuntimeServer::Start)");
     }
     if (replica.authority_term <= Duration::Zero()) {
       return Invalid("replica.authority_term must be positive");

@@ -86,17 +86,20 @@ struct EngineConfig {
   // Replicated authority plane (src/replica/authority.h).
   ReplicaParams replica;
 
-  // On-disk recovery journal directory (plain single-node engine only; the
-  // sharded sim plane uses per-shard memory backends and the replica plane
-  // is deliberately diskless on the acquire path).
+  // SimCluster's on-disk recovery journal directory (plain single-node
+  // engine only; its sharded plane uses per-shard memory backends and its
+  // replicas keep per-node memory metadata). The runtime host takes its
+  // directory as RuntimeServer::Start(data_dir) instead, which journals
+  // every runtime shape.
   std::string data_dir;
 
   // Rejects unsupported combinations with a descriptive status:
   //   * installed_optimization with num_shards > 1 (directory cover keys
   //     break the key==file shard routing invariant);
-  //   * num_shards > 1 with data_dir;
-  //   * replication with persist_lease_records / installed_optimization /
-  //     data_dir (the quorum replaces single-node durable recovery);
+  //   * num_shards > 1 with data_dir (SimCluster journals one plain
+  //     server only);
+  //   * replication with persist_lease_records / installed_optimization
+  //     (the quorum replaces single-node durable recovery) or data_dir;
   //   * nonsensical shard/replica counts and replica timing knobs.
   // num_shards > 1 with replica.num_replicas > 1 is supported: the
   // authority plane elects one holder which serves a ShardedLeaseServer

@@ -107,17 +107,12 @@ struct ClientParams {
   // lockstep forever -- a synchronized extension storm every lead/2.
   Duration extension_jitter = Duration::Zero();
 
-  // Request retransmission (lost datagrams / crashed server). The first
-  // wait is request_timeout; every wait carries +/-25% jitter derived
-  // deterministically from the request id, so a fleet re-probing a
-  // failed-over (or restarting) server spreads its resends instead of
-  // stampeding in lockstep. When resend_backoff_max exceeds
-  // request_timeout, each resend additionally doubles the wait up to that
-  // cap (escalation suits failover waits; plain lossy links keep the flat
-  // default).
+  // Request retransmission (lost datagrams / crashed server). Every wait
+  // is request_timeout with +/-25% jitter derived deterministically from
+  // the request id, so a fleet re-probing a failed-over (or restarting)
+  // server spreads its resends instead of stampeding in lockstep.
   Duration request_timeout = Duration::Seconds(2);
   int max_retries = 8;
-  Duration resend_backoff_max = Duration::Zero();
 
   // Graceful degradation when the server answers kUnavailable (recovering
   // from a crash and shedding its write queue): instead of burning the

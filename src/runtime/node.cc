@@ -63,7 +63,10 @@ struct RuntimeServer::Shard {
 };
 
 RuntimeServer::RuntimeServer(NodeId id, EngineConfig config)
-    : id_(id), config_(std::move(config)) {
+    : RuntimeServer(id, std::move(config), ReplicaSlot{}) {}
+
+RuntimeServer::RuntimeServer(NodeId id, EngineConfig config, ReplicaSlot slot)
+    : id_(id), config_(std::move(config)), slot_(slot) {
   for (size_t i = 0; i < std::max<size_t>(config_.num_shards, 1); ++i) {
     shards_.push_back(std::make_unique<Shard>(config_.term));
   }
@@ -71,14 +74,28 @@ RuntimeServer::RuntimeServer(NodeId id, EngineConfig config)
 
 RuntimeServer::~RuntimeServer() { Stop(); }
 
-Status RuntimeServer::Start(uint16_t port) { return StartInternal(port); }
+Status RuntimeServer::Start(uint16_t port) {
+  return StartInternal(nullptr, port);
+}
 
 Status RuntimeServer::Start(const std::string& data_dir, uint16_t port) {
-  for (size_t i = 0; i < shards_.size(); ++i) {
+  return StartInternal(&data_dir, port);
+}
+
+Status RuntimeServer::StartInternal(const std::string* data_dir,
+                                    uint16_t port) {
+  const bool replicated = config_.replica.num_replicas > 0;
+  if (replicated && shards_.size() > 1) {
+    // One authority socket and one serving loop per replica; the sharded
+    // holder runs in SimCluster only.
+    return Status(ErrorCode::kInvalidArgument,
+                  "RuntimeServer hosts replicas on one shard only");
+  }
+  for (size_t i = 0; data_dir != nullptr && i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     auto journal = std::make_unique<JournalBackend>(
-        shards_.size() == 1 ? data_dir
-                            : data_dir + "/shard-" + std::to_string(i));
+        shards_.size() == 1 ? *data_dir
+                            : *data_dir + "/shard-" + std::to_string(i));
     Status opened = journal->Open();
     if (!opened.ok()) {
       return opened;
@@ -92,10 +109,6 @@ Status RuntimeServer::Start(const std::string& data_dir, uint16_t port) {
       return replayed;
     }
   }
-  return StartInternal(port);
-}
-
-Status RuntimeServer::StartInternal(uint16_t port) {
   for (auto& shard : shards_) {
     shard->loop = std::make_unique<EventLoop>();
     shard->in_flight = 0;
@@ -129,6 +142,23 @@ Status RuntimeServer::StartInternal(uint16_t port) {
                                     .policy = &shard->policy});
     }
   }
+  if (replicated) {
+    // The serving socket answers clients on the virtual id; the authority
+    // rounds travel on this replica's own address.
+    authority_ = std::make_unique<UdpTransport>(ReplicaAddr(slot_.index),
+                                                io_loop, nullptr);
+    started = authority_->Start(slot_.authority_port);
+    if (!started.ok()) {
+      return started;
+    }
+    env.transport = authority_.get();
+    env.serve_transport = faulty_.get();
+    env.replica_index = slot_.index;
+    env.replica_cold_boot = slot_.cold_boot;
+    for (size_t r = 0; r < config_.replica.num_replicas; ++r) {
+      env.peers.push_back(ReplicaAddr(r));
+    }
+  }
   auto engine = MakeServerEngine(config_, std::move(env));
   if (!engine.ok()) {
     return Status(engine.error().code, engine.error().message);
@@ -150,6 +180,9 @@ Status RuntimeServer::StartInternal(uint16_t port) {
   transport_->SetHandler(shards_.size() == 1
                              ? static_cast<PacketHandler*>(engine_.get())
                              : this);
+  if (authority_ != nullptr) {
+    authority_->SetHandler(engine_.get());
+  }
   return Status::Ok();
 }
 
@@ -193,9 +226,11 @@ void RuntimeServer::HandlePacket(NodeId from, MessageClass cls,
 }
 
 void RuntimeServer::Stop() {
-  if (transport_ != nullptr) {
-    transport_->SetHandler(nullptr);
-    transport_->Stop();
+  for (UdpTransport* socket : {transport_.get(), authority_.get()}) {
+    if (socket != nullptr) {
+      socket->SetHandler(nullptr);
+      socket->Stop();
+    }
   }
   for (auto& shard : shards_) {
     if (shard->loop != nullptr) {
@@ -206,37 +241,54 @@ void RuntimeServer::Stop() {
   // single-threaded (their destructors cancel timers on the stopped loops).
   engine_.reset();
   faulty_.reset();
+  authority_.reset();
   transport_.reset();
   for (auto& shard : shards_) {
     shard->loop.reset();
   }
 }
 
-LeaseServer& RuntimeServer::ShardServer(size_t shard) {
-  return shards_.size() == 1 ? *engine_->plain()
-                             : engine_->sharded()->shard(shard);
-}
-
 void RuntimeServer::WithServer(std::function<void(LeaseServer&)> fn) {
   LEASES_CHECK(engine_ != nullptr);
   for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->loop->RunSync([this, i, &fn]() { fn(ShardServer(i)); });
+    shards_[i]->loop->RunSync([this, i, &fn]() {
+      LeaseServer* server = shards_.size() == 1
+                                ? engine_->plain()
+                                : &engine_->sharded()->shard(i);
+      if (server != nullptr) {  // null on a replica that is not the holder
+        fn(*server);
+      }
+    });
   }
 }
 
+void RuntimeServer::WithEngine(std::function<void(ServerEngine&)> fn) {
+  LEASES_CHECK(engine_ != nullptr);
+  shards_[0]->loop->RunSync([this, &fn]() { fn(*engine_); });
+}
+
 ServerStats RuntimeServer::stats() {
-  std::vector<ServerStats> snapshots;
-  WithServer([&snapshots](LeaseServer& server) {
-    snapshots.push_back(server.stats());
-  });
-  ServerStats out = snapshots[0];
-  for (size_t i = 1; i < snapshots.size(); ++i) {
-    MergeServerStats(&out, snapshots[i]);
+  ServerStats out;
+  if (shards_.size() == 1) {
+    WithEngine([&out](ServerEngine& engine) { out = engine.stats(); });
+  } else {
+    bool first = true;
+    WithServer([&out, &first](LeaseServer& server) {
+      if (first) {
+        out = server.stats();
+        first = false;
+      } else {
+        MergeServerStats(&out, server.stats());
+      }
+    });
   }
   // Transport plane: local send failures and inbound drops are invisible
   // to the protocol (it reads them as wire loss), so surface them alongside
   // the server counters.
   out.send_failures = transport_->stats().send_failures;
+  if (authority_ != nullptr) {
+    out.send_failures += authority_->stats().send_failures;
+  }
   out.inbound_drops = dropped();
   return out;
 }

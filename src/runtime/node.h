@@ -1,14 +1,15 @@
-// Runtime node harnesses: the same LeaseServer / CacheClient state machines
-// running over real UDP sockets and the monotonic system clock.
+// Runtime node harnesses: the same protocol state machines as the
+// simulation, running over real UDP sockets and the monotonic system clock.
 //
-// RuntimeServer and RuntimeClient each own a UDP transport, a clock and an
-// event loop (a sharded RuntimeServer owns one loop per shard). All protocol
-// work is serialized by a loop's execution lock: datagrams, timers and
-// RunSync tasks run on the loop thread, while RuntimeClient's blocking
-// wrappers run the protocol call on the caller's thread
-// (EventLoop::RunInline). A read under a valid lease therefore completes
-// without a thread hand-off, and a miss or a write sends its request
-// straight from the caller.
+// RuntimeServer hosts every server engine shape (plain, FileId-sharded, one
+// replica of the replicated authority); RuntimeClient hosts a CacheClient.
+// Each owns a UDP transport, a clock and an event loop (a sharded
+// RuntimeServer owns one loop per shard). All protocol work is serialized
+// by a loop's execution lock: datagrams, timers and RunSync tasks run on
+// the loop thread, while RuntimeClient's blocking wrappers run the protocol
+// call on the caller's thread (EventLoop::RunInline). A read under a valid
+// lease therefore completes without a thread hand-off, and a miss or a
+// write sends its request straight from the caller.
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
@@ -29,32 +30,69 @@ namespace leases {
 
 class RuntimeServer : private PacketHandler {
  public:
+  // This host's seat in a replicated authority; read only when
+  // config.replica.num_replicas > 0.
+  struct ReplicaSlot {
+    size_t index = 0;  // < config.replica.num_replicas
+    // The host's assertion that this replica never took part in an
+    // authority round (fresh cluster). When false, a volatile acceptor
+    // stays silent for one authority term before it votes.
+    bool cold_boot = false;
+    uint16_t authority_port = 0;  // 0 picks an ephemeral port
+  };
+
+  // The authority-plane address of replica `index`; kept out of the small
+  // NodeId range clients and servers use.
+  static NodeId ReplicaAddr(size_t index) {
+    return NodeId(900 + static_cast<uint32_t>(index));
+  }
+
   // The full configuration surface; MakeServerEngine validates it at Start.
-  // config.num_shards picks the shape. With 1 shard the loop's socket feeds
-  // one LeaseServer. With N > 1, shard i of a ShardedLeaseServer runs on
-  // EventLoop i; loop 0 owns the socket, decodes and routes each datagram
-  // (ShardedLeaseServer::Route), runs shard-0 work inline and posts the rest
-  // to the owning shard's loop. Every shard sends through the one
-  // faults() -> UDP transport. Replicated shapes run under
-  // RuntimeReplicaServer.
+  // The config picks the shape:
+  //  * 1 shard: the loop's socket feeds one LeaseServer.
+  //  * N > 1 shards: shard i of a ShardedLeaseServer runs on EventLoop i;
+  //    loop 0 owns the socket, decodes and routes each datagram
+  //    (ShardedLeaseServer::Route), runs shard-0 work inline and posts the
+  //    rest to the owning shard's loop. Every shard sends through the one
+  //    faults() -> UDP transport.
+  //  * replica.num_replicas > 0: one replica of the replicated authority.
+  //    `id` is the virtual serving identity every replica shares; the
+  //    loop-0 socket serves clients on it (only the authority holder
+  //    serves; a standby drops client datagrams, bar replica.standby_reads
+  //    reads, and the client retries). A second socket on loop 0, bound
+  //    to ReplicaAddr(slot.index), carries the authority rounds. Localhost
+  //    has no virtual IP to move at takeover, so a client follows the new
+  //    holder by re-pointing its peer entry for `id` at that host's
+  //    port(). Replicated shapes run on one shard only.
   RuntimeServer(NodeId id, EngineConfig config);
+  RuntimeServer(NodeId id, EngineConfig config, ReplicaSlot slot);
   ~RuntimeServer() override;
 
   RuntimeServer(const RuntimeServer&) = delete;
   RuntimeServer& operator=(const RuntimeServer&) = delete;
 
+  // Fails with kInvalidArgument for an invalid config or for num_shards > 1
+  // with replicas.
   Status Start(uint16_t port = 0);
   // Durable variant: recovery state (max term, boot count, optional lease
-  // records) is journaled under `data_dir` and replayed before the server
+  // records; a replica's acceptor promises when replica.durable_acceptors
+  // is set) is journaled under `data_dir` and replayed before the server
   // starts serving, so a restarted process honors the previous incarnation's
-  // grants. With N > 1 shards, shard i journals under `data_dir/shard-<i>`.
-  // Directories are created if missing.
+  // grants and votes. With N > 1 shards, shard i journals under
+  // `data_dir/shard-<i>`. Directories are created if missing.
   Status Start(const std::string& data_dir, uint16_t port = 0);
   void Stop();
 
+  // The serving socket's port, and where it sends to clients.
   uint16_t port() const { return transport_->port(); }
   void AddPeer(NodeId peer, uint16_t peer_port) {
     transport_->AddPeer(peer, peer_port);
+  }
+  // The authority socket of a replicated host, and where it reaches the
+  // other replicas (wire every replica after each one's Start).
+  uint16_t authority_port() const { return authority_->port(); }
+  void AddReplicaPeer(size_t index, uint16_t peer_port) {
+    authority_->AddPeer(ReplicaAddr(index), peer_port);
   }
 
   // Namespace store for pre-start setup; not thread-safe once serving. With
@@ -62,12 +100,18 @@ class RuntimeServer : private PacketHandler {
   // partition, and from then on the partitions are authoritative.
   FileStore& store() { return store_; }
   // Runs `fn` against each shard's LeaseServer in shard order, each on its
-  // shard's loop thread (one call on a 1-shard server).
+  // shard's loop thread (one call on a 1-shard server; none on a replica
+  // that does not hold the authority).
   void WithServer(std::function<void(LeaseServer&)> fn);
+  // Runs `fn` against the engine on loop 0's thread (with N > 1 shards,
+  // only shard 0's state is safe to touch there).
+  void WithEngine(std::function<void(ServerEngine&)> fn);
   // The engine shell (valid between Start and Stop).
   ServerEngine& engine() { return *engine_; }
-  // Per-shard counters merged (MergeServerStats), plus the transport's
-  // local send failures and the routed deliveries dropped at a full shard.
+  // The engine's counters (a replica's include the authority counters);
+  // with N > 1 shards, per-shard counters merged (MergeServerStats). Plus
+  // the sockets' local send failures and the routed deliveries dropped at
+  // a full shard.
   ServerStats stats();
 
   // Fault-injection decorator every shard sends through; a passthrough
@@ -89,22 +133,24 @@ class RuntimeServer : private PacketHandler {
  private:
   struct Shard;
 
-  Status StartInternal(uint16_t port);
+  // `data_dir` null: recovery state lives in memory.
+  Status StartInternal(const std::string* data_dir, uint16_t port);
   // Runs `fn` on the caller's thread holding the execution lock of every
   // loop from `shard` on, so no shard task, timer or datagram runs meanwhile.
   void RunExclusive(size_t shard, const std::function<void()>& fn);
-  LeaseServer& ShardServer(size_t shard);
   // The socket handler of a sharded server (loop 0's thread).
   void HandlePacket(NodeId from, MessageClass cls,
                     std::span<const uint8_t> bytes) override;
 
   NodeId id_;
   EngineConfig config_;
+  ReplicaSlot slot_;
   FileStore store_;
   SystemClock clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<UdpTransport> transport_;
   std::unique_ptr<FaultInjectingTransport> faulty_;
+  std::unique_ptr<UdpTransport> authority_;  // replicated shapes only
   std::unique_ptr<ServerEngine> engine_;
   std::atomic<uint64_t> dropped_{0};
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +27,15 @@ struct FuzzConfig {
   bool persist_leases = false;
   size_t max_cached_files = 0;
 };
+
+// gtest prints the parameter beside the test name (ctest's discovery puts
+// it in the test's name), so print a readable label instead of raw bytes.
+void PrintTo(const FuzzConfig& config, std::ostream* os) {
+  *os << "seed" << config.seed << "_loss"
+      << static_cast<int>(config.loss * 100) << "_term"
+      << config.term_seconds << (config.persist_leases ? "_persist" : "")
+      << (config.max_cached_files > 0 ? "_tinycache" : "");
+}
 
 class LeaseFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 
@@ -199,15 +209,9 @@ TEST_P(LeaseFuzz, NoViolationsUnderRandomFaults) {
   EXPECT_EQ(oracle.violations(), 0u);
 }
 
+// Named by seed; the label above carries the rest.
 std::string FuzzName(const ::testing::TestParamInfo<FuzzConfig>& info) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "seed%llu_loss%d_term%d%s%s",
-                static_cast<unsigned long long>(info.param.seed),
-                static_cast<int>(info.param.loss * 100),
-                info.param.term_seconds,
-                info.param.persist_leases ? "_persist" : "",
-                info.param.max_cached_files > 0 ? "_tinycache" : "");
-  return buf;
+  return std::to_string(info.param.seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,7 @@
 // The lease protocol over real UDP sockets and real timers: the same state
 // machines as the simulation, on the localhost runtime. The fixture and
-// durability cases run against both host shapes: one shard, and two shards
-// on two event loops.
+// durability cases run against every host shape: one shard, two shards on
+// two event loops, and the single-replica authority shell.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <random>
 #include <string>
 #include <thread>
@@ -23,15 +24,27 @@ std::vector<uint8_t> B(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
-EngineConfig ServerConfig(Duration term, size_t num_shards = 1) {
+// The server shape under test: 0 replicas is the unreplicated host.
+struct HostShape {
+  size_t shards = 1;
+  size_t replicas = 0;
+};
+
+// The instantiation name says which count the printed number is:
+// Shards/...<shards> or Replicas/...<replicas>.
+void PrintTo(const HostShape& shape, std::ostream* os) {
+  *os << (shape.replicas > 0 ? shape.replicas : shape.shards);
+}
+
+EngineConfig ServerConfig(Duration term, HostShape shape = {}) {
   EngineConfig config;
   config.term = term;
-  config.num_shards = num_shards;
+  config.num_shards = shape.shards;
+  config.replica.num_replicas = shape.replicas;
   return config;
 }
 
-// Parameter: the server's shard count.
-class RuntimeFixture : public ::testing::TestWithParam<size_t> {
+class RuntimeFixture : public ::testing::TestWithParam<HostShape> {
  protected:
   void SetUp() override {
     server = std::make_unique<RuntimeServer>(
@@ -130,7 +143,10 @@ TEST_P(RuntimeFixture, DuplicatedAndDelayedDatagramsAreHarmless) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, RuntimeFixture,
-                         ::testing::Values(size_t{1}, size_t{2}),
+                         ::testing::Values(HostShape{1, 0}, HostShape{2, 0}),
+                         ::testing::PrintToStringParamName());
+INSTANTIATE_TEST_SUITE_P(Replicas, RuntimeFixture,
+                         ::testing::Values(HostShape{1, 1}),
                          ::testing::PrintToStringParamName());
 
 TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
@@ -291,11 +307,10 @@ TEST(RuntimeDeathTest, ReadFromInsideWithClientAborts) {
       "InLoopThread");
 }
 
-// Parameter: the server's shard count.
-class RuntimeDurability : public ::testing::TestWithParam<size_t> {};
+class RuntimeDurability : public ::testing::TestWithParam<HostShape> {};
 
 TEST_P(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
-  const size_t shards = GetParam();
+  const size_t shards = GetParam().shards;
   const std::string dir =
       "leases_runtime_durable." + std::to_string(::getpid()) + ".tmp";
   std::filesystem::remove_all(dir);
@@ -307,7 +322,7 @@ TEST_P(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   // read leaves a 1 s lease granted.
   {
     RuntimeServer server(NodeId(1),
-                         ServerConfig(Duration::Seconds(1), shards));
+                         ServerConfig(Duration::Seconds(1), GetParam()));
     FileId file = *server.store().CreatePath("/data/hello",
                                              FileClass::kNormal, B("v1"));
     ASSERT_TRUE(server.Start(dir).ok());
@@ -328,7 +343,7 @@ TEST_P(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
   // Second incarnation over the same directory: it must find the durable
   // state, advance the boot counter, and hold writes for the granted term.
   RuntimeServer reborn(NodeId(1),
-                       ServerConfig(Duration::Seconds(1), shards));
+                       ServerConfig(Duration::Seconds(1), GetParam()));
   FileId file = *reborn.store().CreatePath("/data/hello", FileClass::kNormal,
                                            B("v1"));
   ASSERT_TRUE(reborn.Start(dir).ok());
@@ -360,7 +375,10 @@ TEST_P(RuntimeDurability, RestartedServerRecoversGrantWindowFromDataDir) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, RuntimeDurability,
-                         ::testing::Values(size_t{1}, size_t{2}),
+                         ::testing::Values(HostShape{1, 0}, HostShape{2, 0}),
+                         ::testing::PrintToStringParamName());
+INSTANTIATE_TEST_SUITE_P(Replicas, RuntimeDurability,
+                         ::testing::Values(HostShape{1, 1}),
                          ::testing::PrintToStringParamName());
 
 }  // namespace

@@ -42,10 +42,14 @@ fi
 # exactly the surface TSan exists to check.
 # swarm_test drives the million-client swarm plane's SoA clients, multicast
 # renewal and admission control through ASan for lifetime/indexing bugs.
+# runtime_test runs RuntimeServer in every shape it hosts (1 shard, 2 shards,
+# the 1-replica shell), durable restart included.
 # The replica tier (engine_test, replica_test, runtime_replica_test) covers
 # the factory lifecycle, the PaxosLease authority state machine across
-# crash/partition/drift soaks, and the two-socket runtime failover rig --
-# real threads under TSan, serving-engine churn under ASan.
+# crash/partition/drift soaks, and replicated RuntimeServers on real
+# sockets (serving + authority socket on one loop: failover, and a standby
+# restarted from its journal) -- real threads under TSan, serving-engine
+# churn under ASan.
 # clock_health_test exercises the clock-error estimator (internally locked,
 # shared across shard threads) and the drift-ramp acceptance soaks.
 targets=(scheduler_test sim_test net_test proto_test fastpath_alloc_test
