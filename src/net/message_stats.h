@@ -28,6 +28,10 @@ struct NodeMessageStats {
   // persistently non-zero value means ENOBUFS-style local overload that the
   // protocol otherwise mistakes for wire loss.
   uint64_t send_failures = 0;
+  // Received frames dropped as damaged: shorter than the UDP transport's
+  // 5-byte header, or naming a message class that does not exist. Zero in
+  // simulation.
+  uint64_t malformed = 0;
 
   uint64_t TotalSent() const {
     return sent[0] + sent[1] + sent[2];

@@ -36,6 +36,8 @@ constexpr const char kAuthAcceptedOwnerKey[] = "auth_accepted_owner";
 constexpr const char kAuthEpochKey[] = "auth_epoch";
 constexpr const char kAuthMembersKey[] = "auth_members";  // count
 constexpr const char kAuthNextKey[] = "auth_next";        // count
+// Present once the acceptor's first durable start journaled it.
+constexpr const char kAuthIncarnationKey[] = "auth_incarnation";
 
 std::string IndexedKey(const char* base, size_t i) {
   return std::string(base) + "_" + std::to_string(i);
@@ -148,12 +150,21 @@ Status ReplicaNode::Start() {
                     : now;
   seed_boot_ = !must_warm && env_.replica_index == 0;
   if (durable()) {
-    // The journal is the acceptor's memory: restore what it promised and
-    // rejoin immediately -- the warm-up silence exists only to cover
-    // forgotten volatile promises.
+    // The journal is the acceptor's memory: restore what it promised. It
+    // holds every promise only if it has been this acceptor's journal since
+    // its first start, which the incarnation marker (journaled then, before
+    // any vote) attests; only then may the replica rejoin immediately -- the
+    // warm-up silence exists to cover forgotten promises. A wiped or missing
+    // data_dir, or a memory-backed meta, lacks the marker.
     RestoreDurableAcceptor(now);
-    warm_until_ = now;
-  } else if (warm_until_ > now) {
+    if (env_.meta->Load(kAuthIncarnationKey).has_value()) {
+      warm_until_ = now;
+    } else {
+      // A failed append only costs the next restart its warm-up skip.
+      (void)env_.meta->Save(kAuthIncarnationKey, 1);
+    }
+  }
+  if (warm_until_ > now) {
     ++authority_warmup_waits_;
   }
   ever_started_ = true;

@@ -1,19 +1,32 @@
 #include "src/runtime/event_loop.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <ctime>
 #include <future>
 #include <utility>
-#include <vector>
 
 namespace leases {
 namespace {
 
 // The loop whose execution lock this thread holds, if any.
 thread_local const EventLoop* tls_exec_loop = nullptr;
+
+// epoll_event.data carries the watch id beside the fd, so an event polled
+// for an fd number that has since been unwatched and re-watched is told
+// from the new watch's.
+uint64_t PackWatch(int fd, uint32_t id) {
+  return (static_cast<uint64_t>(id) << 32) | static_cast<uint32_t>(fd);
+}
+
+void EpollCtl(int epoll_fd, int op, int fd, uint32_t events, uint64_t data) {
+  epoll_event event{};
+  event.events = events;
+  event.data.u64 = data;
+  LEASES_CHECK(::epoll_ctl(epoll_fd, op, fd, &event) == 0);
+}
 
 }  // namespace
 
@@ -30,14 +43,19 @@ EventLoop::ExecScope::~ExecScope() {
 }
 
 EventLoop::EventLoop() {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  LEASES_CHECK(epoll_fd_ >= 0);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   LEASES_CHECK(wake_fd_ >= 0);
+  EpollCtl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, EPOLLIN,
+           PackWatch(wake_fd_, 0));
   thread_ = std::thread([this]() { Run(); });
 }
 
 EventLoop::~EventLoop() {
   Stop();
   ::close(wake_fd_);
+  ::close(epoll_fd_);
 }
 
 bool EventLoop::HoldsExecLock() const { return tls_exec_loop == this; }
@@ -106,8 +124,7 @@ TimerId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = timer_ids_.Next();
-    timers_.emplace(when, Timer{id, std::move(fn)});
-    live_timers_.insert(id);
+    timer_index_.emplace(id, timers_.emplace(when, Timer{id, std::move(fn)}));
     // A timer behind the deadline the loop already sleeps to needs no
     // wake-up: every blocking write arms one, and waking the loop for each
     // would cost a context switch per operation.
@@ -120,54 +137,56 @@ TimerId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
 }
 
 bool EventLoop::CancelTimer(TimerId id) {
+  TimerQueue::node_type cancelled;  // its callback is destroyed unlocked
   std::lock_guard<std::mutex> lock(mu_);
-  return live_timers_.erase(id) > 0;
+  auto it = timer_index_.find(id);
+  if (it == timer_index_.end()) {
+    return false;
+  }
+  cancelled = timers_.extract(it->second);
+  timer_index_.erase(it);
+  return true;
 }
 
 void EventLoop::WatchFd(int fd, std::function<void()> on_readable) {
   LEASES_CHECK(fd >= 0);
-  bool wake;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Watch watch{next_watch_id_++, std::make_shared<std::function<void()>>(
-                                      std::move(on_readable))};
-    LEASES_CHECK(watches_.emplace(fd, std::move(watch)).second);
-    ++watch_gen_;
-    wake = ClaimWakeLocked();
-  }
-  if (wake) {
-    Wake();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  Watch watch{next_watch_id_++, false,
+              std::make_shared<std::function<void()>>(std::move(on_readable))};
+  // An fd added to the set of a sleeping epoll_pwait2 wakes it when ready,
+  // so no eventfd write is needed.
+  EpollCtl(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN, PackWatch(fd, watch.id));
+  LEASES_CHECK(watches_.emplace(fd, std::move(watch)).second);
 }
 
 void EventLoop::UnwatchFd(int fd) {
   // Holding the execution lock while erasing is what guarantees that no
   // callback for `fd` is running now or can start later: RunWatch looks the
-  // watch up under the same lock.
+  // watch up under the same lock. A sleeping epoll_pwait2 holds no
+  // reference to a deleted fd, so the caller may close it at once.
   std::unique_lock<std::mutex> exec(exec_mu_, std::defer_lock);
   if (!HoldsExecLock()) {
     exec.lock();
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  if (watches_.erase(fd) == 0) {
-    return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (watches_.erase(fd) > 0) {
+    EpollCtl(epoll_fd_, EPOLL_CTL_DEL, fd, 0, 0);
   }
-  const uint64_t gen = ++watch_gen_;
-  if (ClaimWakeLocked()) {
-    lock.unlock();
-    Wake();
-    lock.lock();
-  }
-  // A sleeping loop still holds the fd inside ppoll (which keeps the socket
-  // alive after close); wait until it sleeps on the new table or not at all.
-  awake_cv_.wait(lock, [this, gen]() { return !sleeping_ || polled_gen_ >= gen; });
 }
 
-void EventLoop::DropCancelledTimersLocked() {
-  while (!timers_.empty() &&
-         live_timers_.count(timers_.begin()->second.id) == 0) {
-    timers_.erase(timers_.begin());
+void EventLoop::SetWatchPaused(int fd, bool paused) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = watches_.find(fd);
+  LEASES_CHECK(it != watches_.end());
+  if (it->second.paused == paused) {
+    return;
   }
+  it->second.paused = paused;
+  // The interest set of a sleeping epoll_pwait2 may change under it: no
+  // events keeps the fd from waking the loop, and EPOLLIN on a readable fd
+  // wakes it.
+  EpollCtl(epoll_fd_, EPOLL_CTL_MOD, fd, paused ? 0u : uint32_t{EPOLLIN},
+           PackWatch(fd, it->second.id));
 }
 
 bool EventLoop::RunNextTask() {
@@ -190,7 +209,6 @@ bool EventLoop::RunNextTask() {
 
 bool EventLoop::RunDueTimer() {
   auto due = [this]() {
-    DropCancelledTimersLocked();
     return !stopping_ && !timers_.empty() &&
            timers_.begin()->first <= std::chrono::steady_clock::now();
   };
@@ -214,13 +232,13 @@ bool EventLoop::RunDueTimer() {
     auto it = timers_.begin();
     timer = std::move(it->second);
     timers_.erase(it);
-    live_timers_.erase(timer.id);
+    timer_index_.erase(timer.id);
   }
   timer.fn();
   return true;
 }
 
-void EventLoop::RunWatch(int fd, uint64_t watch_id) {
+void EventLoop::RunWatch(int fd, uint32_t watch_id) {
   ExecScope scope(this);
   std::shared_ptr<std::function<void()>> on_readable;
   {
@@ -229,8 +247,9 @@ void EventLoop::RunWatch(int fd, uint64_t watch_id) {
       return;
     }
     auto it = watches_.find(fd);
-    if (it == watches_.end() || it->second.id != watch_id) {
-      return;  // unwatched (or the fd number re-watched) since the poll
+    if (it == watches_.end() || it->second.id != watch_id ||
+        it->second.paused) {
+      return;  // unwatched, re-watched or paused since the poll
     }
     on_readable = it->second.on_readable;
   }
@@ -238,10 +257,8 @@ void EventLoop::RunWatch(int fd, uint64_t watch_id) {
 }
 
 void EventLoop::Run() {
-  // pfds[0] is the wake eventfd; pfds[i] pairs with watch_ids[i - 1].
-  std::vector<pollfd> pfds;
-  std::vector<uint64_t> watch_ids;
-  bool built = false;
+  constexpr int kMaxEvents = 16;
+  epoll_event events[kMaxEvents];
   while (true) {
     size_t queued;
     {
@@ -268,7 +285,6 @@ void EventLoop::Run() {
       if (stopping_) {
         return;
       }
-      DropCancelledTimersLocked();
       SteadyPoint now = std::chrono::steady_clock::now();
       bool timer_due = !timers_.empty() && timers_.begin()->first <= now;
       if (tasks_.empty() && !timer_due) {
@@ -285,37 +301,23 @@ void EventLoop::Run() {
           timeout.tv_nsec = static_cast<long>(ns % 1000000000);
         }
       }
-      if (!built || polled_gen_ != watch_gen_) {
-        pfds.assign(1, pollfd{wake_fd_, POLLIN, 0});
-        watch_ids.clear();
-        for (const auto& [fd, watch] : watches_) {
-          pfds.push_back(pollfd{fd, POLLIN, 0});
-          watch_ids.push_back(watch.id);
-        }
-        polled_gen_ = watch_gen_;
-        built = true;
-      }
     }
-    int ready = ::ppoll(pfds.data(), pfds.size(), forever ? nullptr : &timeout,
-                        nullptr);
+    int ready = ::epoll_pwait2(epoll_fd_, events, kMaxEvents,
+                               forever ? nullptr : &timeout, nullptr);
     {
       std::lock_guard<std::mutex> lock(mu_);
       sleeping_ = false;
     }
-    awake_cv_.notify_all();
-    if (ready <= 0) {
-      continue;  // deadline reached, or EINTR
-    }
-    if (pfds[0].revents != 0) {
-      uint64_t count;
-      ssize_t n = ::read(wake_fd_, &count, sizeof(count));
-      (void)n;
-      std::lock_guard<std::mutex> lock(mu_);
-      wake_pending_ = false;
-    }
-    for (size_t i = 1; i < pfds.size(); ++i) {
-      if (pfds[i].revents != 0) {
-        RunWatch(pfds[i].fd, watch_ids[i - 1]);
+    for (int i = 0; i < ready; ++i) {
+      const int fd = static_cast<int>(events[i].data.u64 & 0xffffffffu);
+      if (fd == wake_fd_) {
+        uint64_t count;
+        ssize_t n = ::read(wake_fd_, &count, sizeof(count));
+        (void)n;
+        std::lock_guard<std::mutex> lock(mu_);
+        wake_pending_ = false;
+      } else {
+        RunWatch(fd, static_cast<uint32_t>(events[i].data.u64 >> 32));
       }
     }
   }

@@ -1,20 +1,21 @@
 // Event loop with timers and fd watches for the real-time runtime.
 //
-// Each runtime node owns one EventLoop. Its thread sleeps in one ppoll over
-// a wake eventfd plus the fds it watches, with the earliest timer as a
-// nanosecond deadline. Protocol objects are serialized by an execution lock
-// rather than pinned to one thread: every posted task, timer and fd callback
-// runs under it on the loop thread, and RunInline runs a function under the
-// same lock on the caller's thread. LeaseServer / CacheClient therefore see
-// the same one-at-a-time execution the simulator provides, while a blocking
-// call that needs no network (a read under a valid lease) completes without
-// a thread hand-off. The loop implements TimerHost, so protocol code is
-// oblivious to which world it is in.
+// Each runtime node owns one EventLoop. Its thread sleeps in one
+// epoll_pwait2 over a wake eventfd plus the fds it watches, with the
+// earliest timer as a nanosecond deadline. Protocol objects are serialized
+// by an execution lock rather than pinned to one thread: every posted task,
+// timer and fd callback runs under it on the loop thread, and RunInline
+// runs a function under the same lock on the caller's thread. LeaseServer /
+// CacheClient therefore see the same one-at-a-time execution the simulator
+// provides, while a blocking call that needs no network (a read under a
+// valid lease) completes without a thread hand-off. A caller may also pause
+// an fd's watch and read the fd itself, and the loop is not woken for it.
+// The loop implements TimerHost, so protocol code is oblivious to which
+// world it is in.
 #ifndef SRC_RUNTIME_EVENT_LOOP_H_
 #define SRC_RUNTIME_EVENT_LOOP_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <map>
@@ -22,7 +23,6 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/clock/timer_host.h"
 #include "src/common/check.h"
@@ -62,9 +62,17 @@ class EventLoop : public TimerHost {
   // At most one watch per fd. Thread-safe.
   void WatchFd(int fd, std::function<void()> on_readable);
   // Removes the watch on `fd`. After it returns the callback is not running,
-  // never runs again, and the loop no longer polls the fd, so the caller may
+  // never runs again, and the fd is out of the epoll set, so the caller may
   // close it. Thread-safe; a callback may unwatch its own fd.
   void UnwatchFd(int fd);
+  // Pauses or resumes the watch on `fd` with one epoll_ctl and no wake-up:
+  // a paused fd does not wake the loop, and once PauseWatch returns its
+  // callback does not start until ResumeWatch (one already running, when
+  // the caller does not hold the execution lock, may finish). Resuming an
+  // fd with data queued wakes the loop, as polling is level-triggered.
+  // Thread-safe.
+  void PauseWatch(int fd) { SetWatchPaused(fd, true); }
+  void ResumeWatch(int fd) { SetWatchPaused(fd, false); }
 
   // TimerHost (thread-safe).
   TimerId ScheduleAfter(Duration delay, std::function<void()> fn) override;
@@ -100,7 +108,8 @@ class EventLoop : public TimerHost {
   };
 
   struct Watch {
-    uint64_t id;  // tells a re-watched fd number from the one polled
+    uint32_t id;  // tells a re-watched fd number from the one polled
+    bool paused = false;
     // Shared so a callback that unwatches its own fd stays alive until it
     // returns.
     std::shared_ptr<std::function<void()>> on_readable;
@@ -112,9 +121,8 @@ class EventLoop : public TimerHost {
   // loop is stopping.
   bool RunNextTask();
   bool RunDueTimer();
-  void RunWatch(int fd, uint64_t watch_id);
-  // Must hold mu_. Drops cancelled timers at the head of the queue.
-  void DropCancelledTimersLocked();
+  void RunWatch(int fd, uint32_t watch_id);
+  void SetWatchPaused(int fd, bool paused);
   // Must hold mu_. True when the sleeping loop needs an eventfd write to
   // see a change; the caller then calls Wake() after releasing mu_.
   bool ClaimWakeLocked();
@@ -126,22 +134,25 @@ class EventLoop : public TimerHost {
   // Guards the queues, the watch table and the sleep state below.
   std::mutex mu_;
   std::deque<std::function<void()>> tasks_;
-  std::multimap<SteadyPoint, Timer> timers_;
-  std::unordered_set<TimerId> live_timers_;
+  using TimerQueue = std::multimap<SteadyPoint, Timer>;
+  TimerQueue timers_;
+  // Every pending timer's queue entry, so a cancel frees it at once: every
+  // remote op arms a retransmit timer and cancels it on the reply, and a
+  // loop that is not woken for replies would otherwise hold each one until
+  // its deadline.
+  std::unordered_map<TimerId, TimerQueue::iterator> timer_index_;
   IdGenerator<TimerId> timer_ids_;
   std::unordered_map<int, Watch> watches_;
-  uint64_t next_watch_id_ = 1;
-  uint64_t watch_gen_ = 0;   // bumped on every watch-table change
-  uint64_t polled_gen_ = 0;  // the table generation the loop last polled
-  // True while the loop thread is (about to be) inside ppoll; sleep_until_
-  // is the deadline it sleeps to. A change that does not move work ahead
-  // of that deadline needs no wake-up.
+  uint32_t next_watch_id_ = 1;
+  // True while the loop thread is (about to be) inside epoll_pwait2;
+  // sleep_until_ is the deadline it sleeps to. A change that does not move
+  // work ahead of that deadline needs no wake-up.
   bool sleeping_ = false;
   SteadyPoint sleep_until_;
   bool wake_pending_ = false;  // an eventfd write is owed or unconsumed
-  std::condition_variable awake_cv_;  // signalled when ppoll returns
   bool stopping_ = false;
 
+  int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::thread thread_;
 };

@@ -1,8 +1,12 @@
 #include "src/runtime/node.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <thread>
 
 #include "src/common/check.h"
 #include "src/fs/journal.h"
@@ -10,26 +14,41 @@
 namespace leases {
 namespace {
 
-// Bridges an async protocol call into a blocking one with a timeout. The
-// shared state keeps the promise alive even if the callback outlives the
-// caller's wait.
+// Bridges an async protocol call into a blocking one. The shared state
+// keeps the promise alive even if the callback outlives the caller's wait.
+// Callbacks run under the client loop's execution lock, as does every
+// change to `leader`.
 template <typename T>
 class Waiter {
  public:
+  explicit Waiter(int wake_fd) { state_->wake_fd = wake_fd; }
+
   std::function<void(Result<T>)> MakeCallback() {
     auto state = state_;
     return [state](Result<T> r) {
       bool expected = false;
-      if (state->done.compare_exchange_strong(expected, true)) {
-        state->promise.set_value(std::move(r));
+      if (!state->done.compare_exchange_strong(expected, true)) {
+        return;
+      }
+      state->promise.set_value(std::move(r));
+      // A leader sleeps in ppoll on the socket and the wake fd only, so a
+      // completion on any other thread (a loop timer giving up, another
+      // caller) must wake it.
+      if (state->leader != std::thread::id() &&
+          state->leader != std::this_thread::get_id()) {
+        uint64_t one = 1;
+        ssize_t n = ::write(state->wake_fd, &one, sizeof(one));
+        (void)n;
       }
     };
   }
 
-  Result<T> Wait(Duration timeout) {
+  bool done() const { return state_->done.load(); }
+  void set_leader(std::thread::id leader) { state_->leader = leader; }
+
+  Result<T> Wait(std::chrono::steady_clock::time_point deadline) {
     std::future<Result<T>> future = state_->promise.get_future();
-    if (future.wait_for(std::chrono::microseconds(timeout.ToMicros())) !=
-        std::future_status::ready) {
+    if (future.wait_until(deadline) != std::future_status::ready) {
       return Error{ErrorCode::kTimeout, "blocking call timed out"};
     }
     return future.get();
@@ -39,6 +58,8 @@ class Waiter {
   struct State {
     std::promise<Result<T>> promise;
     std::atomic<bool> done{false};
+    std::thread::id leader;  // the caller draining the socket, if any
+    int wake_fd = -1;
   };
   std::shared_ptr<State> state_ = std::make_shared<State>();
 };
@@ -308,6 +329,10 @@ RuntimeClient::RuntimeClient(NodeId id, NodeId server_id, FileId root,
 RuntimeClient::~RuntimeClient() { Stop(); }
 
 Status RuntimeClient::Start(uint16_t server_port, uint16_t port) {
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    return Status(ErrorCode::kUnavailable, "eventfd() failed");
+  }
   loop_ = std::make_unique<EventLoop>();
   transport_ = std::make_unique<UdpTransport>(id_, loop_.get(), nullptr);
   Status started = transport_->Start(port);
@@ -343,38 +368,76 @@ void RuntimeClient::Stop() {
   faulty_.reset();  // after Stop: no more loop callbacks into the decorator
   transport_.reset();
   loop_.reset();
+  if (wake_fd_ >= 0) {
+    ::close(wake_fd_);
+    wake_fd_ = -1;
+  }
+}
+
+template <typename T, typename Issue>
+Result<T> RuntimeClient::Call(Issue&& issue, Duration timeout) {
+  CheckBlockingCall();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(timeout.ToMicros());
+  Waiter<T> waiter(wake_fd_);
+  bool lead = false;
+  loop_->RunInline([&]() {
+    issue(waiter.MakeCallback());
+    // A call that completed inline (a cache hit) touches no socket. One
+    // that went remote takes the socket from the loop, unless another
+    // caller already leads; it then waits as a follower.
+    if (!waiter.done() && !leading_) {
+      lead = leading_ = true;
+      waiter.set_leader(std::this_thread::get_id());
+      transport_->PauseReceive();
+    }
+  });
+  while (lead) {
+    // Readable socket: drain it here, so the reply is handled on this
+    // thread and the loop thread is not woken for it.
+    bool readable = transport_->WaitReadable(wake_fd_, deadline);
+    loop_->RunInline([&]() {
+      if (readable) {
+        transport_->DrainBatch();
+      }
+      if (waiter.done() || std::chrono::steady_clock::now() >= deadline) {
+        lead = leading_ = false;
+        waiter.set_leader(std::thread::id());
+        transport_->ResumeReceive();
+      }
+    });
+  }
+  return waiter.Wait(deadline);
 }
 
 Result<OpenResult> RuntimeClient::Open(const std::string& path,
                                        Duration timeout) {
-  CheckBlockingCall();
-  Waiter<OpenResult> waiter;
-  loop_->RunInline([&]() { client_->Open(path, waiter.MakeCallback()); });
-  return waiter.Wait(timeout);
+  return Call<OpenResult>(
+      [&](auto callback) { client_->Open(path, std::move(callback)); },
+      timeout);
 }
 
 Result<ReadResult> RuntimeClient::Read(FileId file, Duration timeout) {
-  CheckBlockingCall();
-  Waiter<ReadResult> waiter;
-  loop_->RunInline([&]() { client_->Read(file, waiter.MakeCallback()); });
-  return waiter.Wait(timeout);
+  return Call<ReadResult>(
+      [&](auto callback) { client_->Read(file, std::move(callback)); },
+      timeout);
 }
 
 Result<WriteResult> RuntimeClient::Write(FileId file,
                                          std::vector<uint8_t> data,
                                          Duration timeout) {
-  CheckBlockingCall();
-  Waiter<WriteResult> waiter;
-  loop_->RunInline([&]() {
-    client_->Write(file, std::move(data), waiter.MakeCallback());
-  });
-  return waiter.Wait(timeout);
+  return Call<WriteResult>(
+      [&](auto callback) {
+        client_->Write(file, std::move(data), std::move(callback));
+      },
+      timeout);
 }
 
 void RuntimeClient::CheckBlockingCall() const {
   LEASES_CHECK(client_ != nullptr);
   // From the loop thread (e.g. inside WithClient) the call could never
-  // complete: its reply is delivered by the very thread that would wait.
+  // complete: the loop's timers, and a follower's reply, run on the very
+  // thread that would wait.
   LEASES_CHECK(!loop_->InLoopThread());
 }
 

@@ -9,7 +9,8 @@
 // the loop thread, while RuntimeClient's blocking wrappers run the protocol
 // call on the caller's thread (EventLoop::RunInline). A read under a valid
 // lease therefore completes without a thread hand-off, and a miss or a
-// write sends its request straight from the caller.
+// write sends its request straight from the caller, which then reads the
+// client socket itself until its reply arrives (the leader, below).
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
@@ -169,6 +170,16 @@ class RuntimeClient {
   // Blocking wrappers. They run on the calling thread, which must not be the
   // loop thread (so never from inside WithClient); several threads may call
   // them at once and are serialized by the loop's execution lock.
+  //
+  // A call that goes remote makes its thread the leader, unless another
+  // caller already leads: the loop's watch of the client socket is paused,
+  // and the leader sleeps in ppoll on the socket and a wake fd until its
+  // reply arrives or `timeout` passes, handling every datagram it drains
+  // (replies for other callers, an approval request for another file)
+  // under the execution lock. It then resumes the watch. A completion on
+  // another thread, such as a retransmit timer giving up on the loop,
+  // writes the wake fd. Other callers wait for the loop or the leader to
+  // complete their call.
   Result<OpenResult> Open(const std::string& path,
                           Duration timeout = Duration::Seconds(30));
   Result<ReadResult> Read(FileId file,
@@ -186,6 +197,10 @@ class RuntimeClient {
   FaultInjectingTransport& faults() { return *faulty_; }
 
  private:
+  // Issues a CacheClient call under the execution lock, with `issue`
+  // receiving the completion callback, and blocks until it completes.
+  template <typename T, typename Issue>
+  Result<T> Call(Issue&& issue, Duration timeout);
   void CheckBlockingCall() const;
 
   NodeId id_;
@@ -197,6 +212,8 @@ class RuntimeClient {
   std::unique_ptr<UdpTransport> transport_;
   std::unique_ptr<FaultInjectingTransport> faulty_;
   std::unique_ptr<CacheClient> client_;
+  int wake_fd_ = -1;  // eventfd that wakes the leader
+  bool leading_ = false;  // a caller leads; guarded by the execution lock
 };
 
 }  // namespace leases

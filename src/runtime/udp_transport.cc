@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -68,7 +70,7 @@ Status UdpTransport::Start(uint16_t port) {
   }
   port_ = ntohs(addr.sin_port);
   recv_ = std::make_unique<RecvBatch>();
-  loop_->WatchFd(fd_, [this]() { DrainOnLoop(); });
+  loop_->WatchFd(fd_, [this]() { DrainBatch(); });
   return Status::Ok();
 }
 
@@ -217,29 +219,47 @@ void UdpTransport::Multicast(std::span<const NodeId> dst, MessageClass cls,
   }
 }
 
-void UdpTransport::DrainOnLoop() {
-  // One batch per wake-up: the loop polls level-triggered, so anything left
+bool UdpTransport::WaitReadable(
+    int wake_fd, std::chrono::steady_clock::time_point deadline) {
+  pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_fd, POLLIN, 0}};
+  auto left = deadline - std::chrono::steady_clock::now();
+  int64_t ns = std::max<int64_t>(
+      0, std::chrono::duration_cast<std::chrono::nanoseconds>(left).count());
+  timespec timeout{static_cast<time_t>(ns / 1000000000),
+                   static_cast<long>(ns % 1000000000)};
+  if (::ppoll(pfds, 2, &timeout, nullptr) <= 0) {
+    return false;  // deadline reached, or EINTR
+  }
+  if (pfds[1].revents != 0) {
+    uint64_t count;
+    ssize_t n = ::read(wake_fd, &count, sizeof(count));
+    (void)n;
+  }
+  return pfds[0].revents != 0;
+}
+
+void UdpTransport::DrainBatch() {
+  // One batch per call: the loop polls level-triggered, so anything left
   // queued comes back on the next pass, after due timers and tasks.
   int got = ::recvmmsg(fd_, recv_->msgs, RecvBatch::kSize, MSG_DONTWAIT,
                        nullptr);
   for (int m = 0; m < got; ++m) {
     const std::vector<uint8_t>& buffer = recv_->buffers[m];
     auto n = static_cast<size_t>(recv_->msgs[m].msg_len);
-    if (n < kHeaderSize) {
-      continue;  // damaged frame
+    const bool damaged = n < kHeaderSize || buffer[4] >= kNumMessageClasses;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (damaged) {
+        stats_.malformed++;
+        continue;
+      }
+      stats_.received[buffer[4]]++;
     }
+    auto cls = static_cast<MessageClass>(buffer[4]);
     uint32_t sender = static_cast<uint32_t>(buffer[0]) |
                       (static_cast<uint32_t>(buffer[1]) << 8) |
                       (static_cast<uint32_t>(buffer[2]) << 16) |
                       (static_cast<uint32_t>(buffer[3]) << 24);
-    auto cls = static_cast<MessageClass>(buffer[4]);
-    if (static_cast<int>(cls) >= kNumMessageClasses) {
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.received[static_cast<int>(cls)]++;
-    }
     std::span<const uint8_t> payload(buffer.data() + kHeaderSize,
                                      n - kHeaderSize);
     PacketHandler* handler = handler_.load();

@@ -1,10 +1,13 @@
 // UDP datagram transport on localhost for the real-time runtime.
 //
 // Frame layout: [sender NodeId u32 LE][MessageClass u8][payload]. A
-// transport built with an EventLoop registers its socket with that loop:
-// the loop thread drains one recvmmsg batch per wake-up and hands each
-// datagram to the handler in place, under the loop's execution lock, which
-// preserves the serialized execution model the protocol objects require.
+// transport registers its socket with its EventLoop: the loop thread drains
+// one recvmmsg batch per wake-up and hands each datagram to the handler in
+// place, under the loop's execution lock, which preserves the serialized
+// execution model the protocol objects require. A caller may take the
+// socket from the loop (PauseReceive), drain it on its own thread under
+// the same lock (WaitReadable + DrainBatch) and hand it back
+// (ResumeReceive); see RuntimeClient.
 // Multicast is emulated by iterated sendto over the recipient list -- the
 // paper's cost model charges the sender once, which the stats mirror.
 #ifndef SRC_RUNTIME_UDP_TRANSPORT_H_
@@ -13,6 +16,7 @@
 #include <netinet/in.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,9 +33,10 @@ namespace leases {
 
 class UdpTransport : public Transport {
  public:
-  // `handler` is invoked on `loop`'s thread for each datagram; it may be
-  // null until SetHandler is called. `loop` is required and must outlive the
-  // transport (Stop() unwatches the socket from it).
+  // `handler` is invoked under `loop`'s execution lock for each datagram
+  // (on the loop thread, or on a thread that drains the paused socket); it
+  // may be null until SetHandler is called. `loop` is required and must
+  // outlive the transport (Stop() unwatches the socket from it).
   UdpTransport(NodeId self, EventLoop* loop, PacketHandler* handler);
   ~UdpTransport() override;
 
@@ -64,14 +69,29 @@ class UdpTransport : public Transport {
   void Multicast(std::span<const NodeId> dst, MessageClass cls,
                  Packet packet) override;
 
-  // Send, receive and failure counts. Every send path is thread-safe: the
-  // shards of a sharded server all send through one transport.
+  // Send, receive, failure and malformed-frame counts. Every send path is
+  // thread-safe: the shards of a sharded server all send through one
+  // transport.
   NodeMessageStats stats() const;
 
+  // Caller-driven receive. PauseReceive stops the loop from draining the
+  // socket, without waking it; ResumeReceive hands the socket back, and a
+  // datagram still queued then wakes the loop. Thread-safe, between Start
+  // and Stop.
+  void PauseReceive() { loop_->PauseWatch(fd_); }
+  void ResumeReceive() { loop_->ResumeWatch(fd_); }
+  // Sleeps until the socket is readable (true), or until `wake_fd` is
+  // readable or `deadline` passes (false). A readable `wake_fd` is read,
+  // which resets an eventfd.
+  bool WaitReadable(int wake_fd,
+                    std::chrono::steady_clock::time_point deadline);
+  // Drains one recvmmsg batch and dispatches each datagram to the handler;
+  // frames too short for the header or of an unknown class are counted as
+  // malformed and dropped. The loop's watch calls it; another thread may
+  // while receive is paused. Must hold the loop's execution lock.
+  void DrainBatch();
+
  private:
-  // The socket's on-readable callback: drains one recvmmsg batch and
-  // dispatches each datagram to the handler.
-  void DrainOnLoop();
   void SendFrame(NodeId dst, MessageClass cls,
                  const std::vector<uint8_t>& frame);
   // Resolves a peer's loopback address; false (and one counted send failure)
@@ -86,7 +106,7 @@ class UdpTransport : public Transport {
 
   // One recvmmsg batch: datagrams are delivered straight out of these
   // buffers, so a receive copies nothing and allocates nothing. Used only
-  // on the loop thread.
+  // under the loop's execution lock.
   struct RecvBatch;
 
   NodeId self_;

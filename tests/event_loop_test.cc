@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -258,6 +259,167 @@ TEST(EventLoopTest, EarlierTimerWakesLoopSleepingOnALaterOne) {
   EXPECT_LE(elapsed_us, 250000);  // on time, not at the 10 s deadline
 }
 
+// A bound loopback UDP socket and a sender aimed at it, for the fd-watch
+// cases below.
+struct LoopbackPair {
+  LoopbackPair() {
+    rx = ::socket(AF_INET, SOCK_DGRAM, 0);
+    tx = ::socket(AF_INET, SOCK_DGRAM, 0);
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(rx, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::getsockname(rx, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  }
+  ~LoopbackPair() {
+    ::close(tx);
+    if (rx >= 0) {
+      ::close(rx);
+    }
+  }
+  void Send(const void* data, size_t size) const {
+    ::sendto(tx, data, size, 0, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr));
+  }
+  void SendByte(uint8_t byte = 0) const { Send(&byte, 1); }
+
+  int rx = -1;
+  int tx = -1;
+  sockaddr_in addr{};
+};
+
+// Reads one queued datagram; false when none is queued.
+bool RecvOne(int fd) {
+  uint8_t buf[64];
+  return ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT) >= 0;
+}
+
+// Polls `cond` for up to 2 s.
+bool Eventually(const std::function<bool()>& cond) {
+  for (int i = 0; i < 400 && !cond(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return cond();
+}
+
+// A paused watch does not run even while its fd stays readable; the
+// datagrams stay queued for whoever resumes (or drains) it.
+TEST(EventLoopTest, PausedWatchNeverRuns) {
+  LoopbackPair pair;
+  EventLoop loop;
+  std::atomic<int> calls{0};
+  loop.WatchFd(pair.rx, [&]() {
+    ++calls;
+    RecvOne(pair.rx);
+  });
+  pair.SendByte();
+  ASSERT_TRUE(Eventually([&]() { return calls == 1; }));
+  loop.PauseWatch(pair.rx);
+  for (int i = 0; i < 50; ++i) {
+    pair.SendByte();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  loop.RunSync([]() {});  // a full loop pass with the fd readable
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(RecvOne(pair.rx));  // still queued
+  loop.UnwatchFd(pair.rx);
+}
+
+// Resuming a watch with data queued wakes the loop, and level-triggered
+// polling runs the callback once per pass until the queue is empty.
+TEST(EventLoopTest, ResumedWatchRunsOncePerPassForQueuedData) {
+  constexpr int kQueued = 3;
+  LoopbackPair pair;
+  EventLoop loop;
+  std::atomic<int> calls{0};
+  std::atomic<int> received{0};
+  loop.WatchFd(pair.rx, [&]() {
+    ++calls;
+    received += RecvOne(pair.rx) ? 1 : 0;  // one datagram per pass
+  });
+  loop.PauseWatch(pair.rx);
+  for (int i = 0; i < kQueued; ++i) {
+    pair.SendByte();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(calls, 0);
+  loop.ResumeWatch(pair.rx);
+  ASSERT_TRUE(Eventually([&]() { return received == kQueued; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(calls, kQueued);  // no pass without a datagram behind it
+  EXPECT_EQ(received, kQueued);
+  loop.UnwatchFd(pair.rx);
+}
+
+// A loop whose only watch is paused still wakes for a timer and a post.
+TEST(EventLoopTest, TimerAndPostWakeLoopWithPausedWatch) {
+  LoopbackPair pair;
+  EventLoop loop;
+  loop.WatchFd(pair.rx, []() { FAIL() << "paused watch ran"; });
+  loop.PauseWatch(pair.rx);
+  pair.SendByte();  // readable, but must not wake the loop's watch
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // asleep
+  std::atomic<bool> fired{false};
+  loop.ScheduleAfter(Duration::Millis(10), [&]() { fired = true; });
+  EXPECT_TRUE(Eventually([&]() { return fired.load(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // asleep
+  std::atomic<bool> posted{false};
+  loop.Post([&]() { posted = true; });
+  EXPECT_TRUE(Eventually([&]() { return posted.load(); }));
+  loop.UnwatchFd(pair.rx);
+}
+
+// An fd number unwatched, closed and re-used for a new socket: the new
+// watch runs for the new socket's datagrams only, and the old callback
+// never runs again.
+TEST(EventLoopTest, RewatchedFdNumberSeesOnlyItsOwnDatagrams) {
+  LoopbackPair first;
+  EventLoop loop;
+  std::atomic<int> old_calls{0};
+  std::atomic<bool> unwatched{false};
+  std::atomic<int> late{0};
+  loop.WatchFd(first.rx, [&]() {
+    late += unwatched ? 1 : 0;
+    ++old_calls;
+    RecvOne(first.rx);
+  });
+  first.SendByte();
+  ASSERT_TRUE(Eventually([&]() { return old_calls == 1; }));
+  loop.PauseWatch(first.rx);
+  for (int i = 0; i < 20; ++i) {
+    first.SendByte();  // left queued on the closed socket
+  }
+  loop.UnwatchFd(first.rx);
+  unwatched = true;
+  const int number = first.rx;
+  ::close(first.rx);
+  first.rx = -1;
+
+  LoopbackPair second;
+  if (second.rx != number) {  // force the same fd number
+    ASSERT_EQ(::dup2(second.rx, number), number);
+    ::close(second.rx);
+    second.rx = number;
+  }
+  std::atomic<int> new_calls{0};
+  std::atomic<int> received{0};
+  loop.WatchFd(second.rx, [&]() {
+    ++new_calls;
+    received += RecvOne(second.rx) ? 1 : 0;
+  });
+  for (int i = 0; i < 5; ++i) {
+    second.SendByte();
+  }
+  ASSERT_TRUE(Eventually([&]() { return received == 5; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(new_calls, 5);
+  EXPECT_EQ(old_calls, 1);
+  EXPECT_EQ(late, 0);
+  loop.UnwatchFd(second.rx);
+}
+
 TEST(UdpTransportTest, LoopbackDelivery) {
   EventLoop loop_a;
   EventLoop loop_b;
@@ -368,6 +530,36 @@ TEST(UdpTransportTest, DropEveryNthLosesDeterministically) {
   EXPECT_EQ(counter.count, 5);
   EXPECT_EQ(faulty.fault_stats().dropped_nth, 5u);
   a.Stop();
+  b.Stop();
+}
+
+// Frames too short for the header or naming no message class are counted
+// and dropped; a valid frame behind them still reaches the handler.
+TEST(UdpTransportTest, MalformedFramesAreCountedAndDropped) {
+  EventLoop loop;
+  struct Counter : PacketHandler {
+    std::atomic<int> count{0};
+    void HandlePacket(NodeId, MessageClass,
+                      std::span<const uint8_t>) override {
+      ++count;
+    }
+  } counter;
+  UdpTransport b(NodeId(2), &loop, &counter);
+  ASSERT_TRUE(b.Start().ok());
+  LoopbackPair raw;
+  raw.addr.sin_port = htons(b.port());
+  const uint8_t short_frame[3] = {1, 0, 0};
+  const uint8_t bad_class[6] = {1, 0, 0, 0, 255, 7};
+  const uint8_t valid[6] = {1, 0, 0, 0,
+                            static_cast<uint8_t>(MessageClass::kData), 7};
+  raw.Send(short_frame, sizeof(short_frame));
+  raw.Send(bad_class, sizeof(bad_class));
+  raw.Send(valid, sizeof(valid));
+  ASSERT_TRUE(Eventually([&]() { return counter.count == 1; }));
+  NodeMessageStats stats = b.stats();
+  EXPECT_EQ(stats.malformed, 2u);
+  EXPECT_EQ(stats.TotalReceived(), 1u);
+  EXPECT_EQ(counter.count, 1);
   b.Stop();
 }
 

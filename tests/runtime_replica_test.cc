@@ -209,7 +209,9 @@ class RuntimeReplicaRestart : public ::testing::Test {
            std::to_string(r) + ".tmp";
   }
 
-  void StartThenRestartStandby(bool durable_acceptors) {
+  // `wipe_dir` empties standby 2's directory before the restart, as a
+  // replaced disk or a missing data_dir would.
+  void StartThenRestartStandby(bool durable_acceptors, bool wipe_dir = false) {
     config_.term = Duration::Seconds(10);
     config_.replica.num_replicas = 3;
     config_.replica.durable_acceptors = durable_acceptors;
@@ -229,6 +231,9 @@ class RuntimeReplicaRestart : public ::testing::Test {
     ASSERT_TRUE(meta.Reopen().ok());
     // The key ReplicaNode persists an acceptor's promised ballot under.
     promise_on_disk_ = meta.Load("auth_promised").has_value();
+    if (wipe_dir) {
+      std::filesystem::remove_all(Dir(2));
+    }
 
     replicas_[2] = Replica(2, /*cold_boot=*/false);
     ASSERT_TRUE(replicas_[2]->Start(Dir(2)).ok());
@@ -276,6 +281,16 @@ TEST_F(RuntimeReplicaRestart, VolatileAcceptorWarmsUp) {
   ASSERT_NO_FATAL_FAILURE(
       StartThenRestartStandby(/*durable_acceptors=*/false));
   EXPECT_FALSE(promise_on_disk_);
+  EXPECT_EQ(replicas_[2]->stats().authority_warmup_waits, 1u);
+}
+
+// A durable acceptor restarted from an emptied data_dir has forgotten its
+// promises just like a volatile one, so it must warm up too, even though
+// the host asserts it is not a cold boot.
+TEST_F(RuntimeReplicaRestart, DurableAcceptorWithEmptiedDataDirWarmsUp) {
+  ASSERT_NO_FATAL_FAILURE(StartThenRestartStandby(/*durable_acceptors=*/true,
+                                                  /*wipe_dir=*/true));
+  EXPECT_TRUE(promise_on_disk_);  // there was a promise to forget
   EXPECT_EQ(replicas_[2]->stats().authority_warmup_waits, 1u);
 }
 

@@ -149,6 +149,117 @@ INSTANTIATE_TEST_SUITE_P(Replicas, RuntimeFixture,
                          ::testing::Values(HostShape{1, 1}),
                          ::testing::PrintToStringParamName());
 
+// A caller blocked on a remote op reads the client socket itself (the
+// leader), with the loop's watch of it paused. Everything the socket
+// carries meanwhile must still be handled, and a completion on the loop
+// thread must still wake the caller.
+class RuntimeLeader : public ::testing::TestWithParam<HostShape> {
+ protected:
+  void SetUp() override {
+    server = std::make_unique<RuntimeServer>(
+        NodeId(1), ServerConfig(Duration::Seconds(10), GetParam()));
+    x = *server->store().CreatePath("/x", FileClass::kNormal, B("x1"));
+    y = *server->store().CreatePath("/y", FileClass::kNormal, B("y1"));
+    ASSERT_TRUE(server->Start().ok());
+  }
+
+  void TearDown() override {
+    for (auto& client : clients) {
+      client->Stop();
+    }
+    server->Stop();
+  }
+
+  RuntimeClient& AddClient(NodeId id, ClientParams params) {
+    params.transit_allowance = Duration::Millis(50);
+    params.epsilon = Duration::Millis(50);
+    clients.push_back(std::make_unique<RuntimeClient>(
+        id, NodeId(1), server->store().root(), params));
+    EXPECT_TRUE(clients.back()->Start(server->port()).ok());
+    server->AddPeer(id, clients.back()->port());
+    return *clients.back();
+  }
+
+  std::unique_ptr<RuntimeServer> server;
+  std::vector<std::unique_ptr<RuntimeClient>> clients;
+  FileId x;
+  FileId y;
+};
+
+// The paper's write path (section 2): a writer waits on every holder's
+// approval. A's write of X waits ~2 s on C's approval, C's sends held back
+// meanwhile. B then writes Y, which A holds: A's approval must come from
+// A's waiting caller at once, not from Y's 10 s lease running out.
+TEST_P(RuntimeLeader, ApprovalAnsweredWhileCallerWaitsRemote) {
+  RuntimeClient& a = AddClient(NodeId(2), ClientParams{});
+  RuntimeClient& b = AddClient(NodeId(3), ClientParams{});
+  RuntimeClient& c = AddClient(NodeId(4), ClientParams{});
+  ASSERT_TRUE(c.Read(x).ok());
+  ASSERT_TRUE(a.Read(y).ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  c.faults().SetPeerBlocked(NodeId(1), true);  // C's approvals are held back
+  std::atomic<bool> a_done{false};
+  Result<WriteResult> a_write = Error{ErrorCode::kTimeout, "not run"};
+  std::thread writer([&]() {
+    a_write = a.Write(x, B("x2"));
+    a_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // A leads
+  ASSERT_FALSE(a_done);
+
+  const auto b_start = std::chrono::steady_clock::now();
+  Result<WriteResult> b_write = b.Write(y, B("y2"));
+  const auto b_took = std::chrono::steady_clock::now() - b_start;
+  ASSERT_TRUE(b_write.ok()) << b_write.error().ToString();
+  EXPECT_LT(b_took, std::chrono::milliseconds(1000));
+  EXPECT_FALSE(a_done);  // A was still waiting on C throughout
+
+  std::this_thread::sleep_until(start + std::chrono::seconds(2));
+  c.faults().SetPeerBlocked(NodeId(1), false);  // the next retry gets through
+  writer.join();
+  ASSERT_TRUE(a_write.ok()) << a_write.error().ToString();
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(2));
+  EXPECT_EQ(a.stats().approvals_granted, 1u);
+  EXPECT_GE(c.stats().approvals_granted, 1u);  // one per approval retry
+  Result<ReadResult> read = a.Read(y);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "y2");
+}
+
+// Every reply to A is lost: the CacheClient gives up on its own retry
+// timer, on the loop thread, and that must wake the waiting caller then,
+// not at the wrapper's 30 s deadline.
+TEST_P(RuntimeLeader, ClientGiveUpWakesWaitingCaller) {
+  ClientParams params;
+  params.request_timeout = Duration::Millis(100);
+  params.max_retries = 2;
+  RuntimeClient& a = AddClient(NodeId(2), params);
+  server->faults().SetPeerBlocked(NodeId(2), true);
+  const auto start = std::chrono::steady_clock::now();
+  Result<WriteResult> write = a.Write(x, B("x2"));
+  const auto took = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(write.ok());
+  EXPECT_EQ(write.error().code, ErrorCode::kTimeout);
+  // Three attempts of 100 ms +/-25% each.
+  EXPECT_GE(took, std::chrono::milliseconds(200));
+  EXPECT_LT(took, std::chrono::seconds(3));
+  EXPECT_EQ(a.stats().timeouts, 1u);
+  // The socket is handed back to the loop: the next call goes through.
+  server->faults().SetPeerBlocked(NodeId(2), false);
+  Result<ReadResult> read = a.Read(y, Duration::Seconds(10));
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_EQ(std::string(read->data.begin(), read->data.end()), "y1");
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RuntimeLeader,
+                         ::testing::Values(HostShape{1, 0}, HostShape{2, 0}),
+                         ::testing::PrintToStringParamName());
+INSTANTIATE_TEST_SUITE_P(Replicas, RuntimeLeader,
+                         ::testing::Values(HostShape{1, 1}),
+                         ::testing::PrintToStringParamName());
+
 TEST(RuntimeMultiClient, SharedWriteInvalidatesOtherClient) {
   RuntimeServer server(NodeId(1), ServerConfig(Duration::Seconds(5)));
   FileId file = *server.store().CreatePath("/shared", FileClass::kNormal,

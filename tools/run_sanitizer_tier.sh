@@ -42,8 +42,12 @@ fi
 # exactly the surface TSan exists to check.
 # swarm_test drives the million-client swarm plane's SoA clients, multicast
 # renewal and admission control through ASan for lifetime/indexing bugs.
-# runtime_test runs RuntimeServer in every shape it hosts (1 shard, 2 shards,
-# the 1-replica shell), durable restart included.
+# event_loop_test drives the epoll loop's watches from several threads:
+# unwatch under a datagram flood, pause/resume without a wake-up, an fd
+# number re-watched after close. runtime_test runs RuntimeServer in every
+# shape it hosts (1 shard, 2 shards, the 1-replica shell), durable restart
+# included, and RuntimeClient's leader: a caller that drains the client
+# socket on its own thread while the loop's timers and other callers run.
 # The replica tier (engine_test, replica_test, runtime_replica_test) covers
 # the factory lifecycle, the PaxosLease authority state machine across
 # crash/partition/drift soaks, and replicated RuntimeServers on real
