@@ -14,8 +14,10 @@
 //   * simulator -- SimCluster installs a ShardedLeaseServer as the server
 //     node's PacketHandler; HandleTyped routes each message to its owning
 //     shard inline (single-threaded, deterministic).
-//   * runtime -- RuntimeServer calls Route() on the loop that owns the
-//     socket, and DeliverToShard() on the owning shard's loop.
+//   * runtime -- RuntimeServer calls Route() on whichever shard loop
+//     drained the datagram, and DeliverToShard() under the owning shard's
+//     execution lock: on that same thread when the shard is free, else on
+//     the shard's own loop.
 //
 // Cross-shard batched extensions (Section 3.1 batches every held lease into
 // one ExtendRequest) are split into per-shard sub-requests; a reply tap on
@@ -93,10 +95,11 @@ class ShardedLeaseServer : public PacketHandler {
                    const Packet& packet) override;
 
   // --- Two-phase dispatch (runtime) ---
-  // Route() runs on the I/O loop: it resolves the owning shard (splitting
+  // Route() runs on a receiving thread, on several at once in the runtime
+  // (the rendezvous is locked): it resolves the owning shard (splitting
   // cross-shard extend/relinquish batches and arming the merge rendezvous)
   // and hands each delivery to `sink`, which runs it or posts it to the
-  // shard's loop. That loop then calls DeliverToShard().
+  // shard's loop. DeliverToShard() then runs under that shard's lock.
   using DispatchSink =
       std::function<void(size_t shard, NodeId from, MessageClass cls,
                          Packet&& packet)>;

@@ -37,9 +37,20 @@ EventLoop::ExecScope::ExecScope(EventLoop* loop)
   tls_exec_loop = loop_;
 }
 
+EventLoop::ExecScope::ExecScope(EventLoop* loop, std::try_to_lock_t)
+    : loop_(loop), outer_(tls_exec_loop) {
+  LEASES_CHECK(outer_ != loop);  // try_lock by the holder is undefined
+  owns_ = loop_->exec_mu_.try_lock();
+  if (owns_) {
+    tls_exec_loop = loop_;
+  }
+}
+
 EventLoop::ExecScope::~ExecScope() {
-  tls_exec_loop = outer_;
-  loop_->exec_mu_.unlock();
+  if (owns_) {
+    tls_exec_loop = outer_;
+    loop_->exec_mu_.unlock();
+  }
 }
 
 EventLoop::EventLoop() {
@@ -148,29 +159,37 @@ bool EventLoop::CancelTimer(TimerId id) {
   return true;
 }
 
-void EventLoop::WatchFd(int fd, std::function<void()> on_readable) {
+void EventLoop::WatchFd(int fd, std::function<void()> on_readable,
+                        bool exclusive) {
   LEASES_CHECK(fd >= 0);
   std::lock_guard<std::mutex> lock(mu_);
-  Watch watch{next_watch_id_++, false,
+  Watch watch{next_watch_id_++, exclusive, false,
               std::make_shared<std::function<void()>>(std::move(on_readable))};
   // An fd added to the set of a sleeping epoll_pwait2 wakes it when ready,
   // so no eventfd write is needed.
-  EpollCtl(epoll_fd_, EPOLL_CTL_ADD, fd, EPOLLIN, PackWatch(fd, watch.id));
+  EpollCtl(epoll_fd_, EPOLL_CTL_ADD, fd,
+           exclusive ? uint32_t{EPOLLIN | EPOLLEXCLUSIVE} : uint32_t{EPOLLIN},
+           PackWatch(fd, watch.id));
   LEASES_CHECK(watches_.emplace(fd, std::move(watch)).second);
 }
 
 void EventLoop::UnwatchFd(int fd) {
-  // Holding the execution lock while erasing is what guarantees that no
-  // callback for `fd` is running now or can start later: RunWatch looks the
-  // watch up under the same lock. A sleeping epoll_pwait2 holds no
-  // reference to a deleted fd, so the caller may close it at once.
-  std::unique_lock<std::mutex> exec(exec_mu_, std::defer_lock);
-  if (!HoldsExecLock()) {
-    exec.lock();
+  // Once the watch is erased no callback for `fd` can start: RunWatch looks
+  // the watch up under the execution lock and drops events for a missing
+  // one. A sleeping epoll_pwait2 holds no reference to a deleted fd, so the
+  // caller may close it once this returns.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (watches_.erase(fd) > 0) {
+      EpollCtl(epoll_fd_, EPOLL_CTL_DEL, fd, 0, 0);
+    }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (watches_.erase(fd) > 0) {
-    EpollCtl(epoll_fd_, EPOLL_CTL_DEL, fd, 0, 0);
+  // A callback that looked the watch up before the erase may still be
+  // running, under the execution lock: taking the lock once waits it out.
+  // Taking it before the erase would wait on every callback the flooded fd
+  // kept starting, as std::mutex is not fair.
+  if (!HoldsExecLock()) {
+    std::lock_guard<std::mutex> exec(exec_mu_);
   }
 }
 
@@ -178,6 +197,7 @@ void EventLoop::SetWatchPaused(int fd, bool paused) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = watches_.find(fd);
   LEASES_CHECK(it != watches_.end());
+  LEASES_CHECK(!it->second.exclusive);
   if (it->second.paused == paused) {
     return;
   }

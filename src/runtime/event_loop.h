@@ -10,6 +10,9 @@
 // provides, while a blocking call that needs no network (a read under a
 // valid lease) completes without a thread hand-off. A caller may also pause
 // an fd's watch and read the fd itself, and the loop is not woken for it.
+// Several loops may watch one fd exclusively (one idle loop wakes per
+// arrival), and a loop's thread may run work under another loop's lock
+// with TryRunInline, which never blocks; see RuntimeServer.
 // The loop implements TimerHost, so protocol code is oblivious to which
 // world it is in.
 #ifndef SRC_RUNTIME_EVENT_LOOP_H_
@@ -56,21 +59,43 @@ class EventLoop : public TimerHost {
     fn();
   }
 
+  // RunInline without the wait: runs `fn` and returns true when the
+  // execution lock is free, and returns false at once, without running
+  // `fn`, while another thread holds it. Another loop's callback may call
+  // it while holding its own loop's lock: a thread that only try-locks a
+  // second lock cannot deadlock on it.
+  template <typename Fn>
+  bool TryRunInline(Fn&& fn) {
+    LEASES_CHECK(!InLoopThread());
+    ExecScope scope(this, std::try_to_lock);
+    if (!scope.owns_lock()) {
+      return false;
+    }
+    fn();
+    return true;
+  }
+
   // Watches `fd` for readability. `on_readable` runs on the loop thread
   // under the execution lock whenever the fd polls readable; polling is
   // level-triggered, so data a callback leaves queued wakes the next pass.
-  // At most one watch per fd. Thread-safe.
-  void WatchFd(int fd, std::function<void()> on_readable);
+  // At most one watch per fd per loop. With `exclusive`, several loops may
+  // watch the same fd and an arrival wakes one loop that sleeps on it, not
+  // all (EPOLLEXCLUSIVE); an exclusive watch cannot be paused. Thread-safe.
+  void WatchFd(int fd, std::function<void()> on_readable,
+               bool exclusive = false);
   // Removes the watch on `fd`. After it returns the callback is not running,
   // never runs again, and the fd is out of the epoll set, so the caller may
-  // close it. Thread-safe; a callback may unwatch its own fd.
+  // close it once no other loop watches it. It waits only for a callback
+  // already running, so a flooded fd cannot starve it. Thread-safe; a
+  // callback may unwatch its own fd.
   void UnwatchFd(int fd);
   // Pauses or resumes the watch on `fd` with one epoll_ctl and no wake-up:
   // a paused fd does not wake the loop, and once PauseWatch returns its
   // callback does not start until ResumeWatch (one already running, when
   // the caller does not hold the execution lock, may finish). Resuming an
   // fd with data queued wakes the loop, as polling is level-triggered.
-  // Thread-safe.
+  // Thread-safe. Aborts on an exclusive watch: the kernel refuses
+  // EPOLL_CTL_MOD on an EPOLLEXCLUSIVE entry.
   void PauseWatch(int fd) { SetWatchPaused(fd, true); }
   void ResumeWatch(int fd) { SetWatchPaused(fd, false); }
 
@@ -93,13 +118,18 @@ class EventLoop : public TimerHost {
   class ExecScope {
    public:
     explicit ExecScope(EventLoop* loop);
+    // Takes the lock only if it is free; see owns_lock().
+    ExecScope(EventLoop* loop, std::try_to_lock_t);
     ~ExecScope();
     ExecScope(const ExecScope&) = delete;
     ExecScope& operator=(const ExecScope&) = delete;
 
+    bool owns_lock() const { return owns_; }
+
    private:
     EventLoop* loop_;
     const EventLoop* outer_;
+    bool owns_ = true;
   };
 
   struct Timer {
@@ -109,6 +139,7 @@ class EventLoop : public TimerHost {
 
   struct Watch {
     uint32_t id;  // tells a re-watched fd number from the one polled
+    bool exclusive = false;
     bool paused = false;
     // Shared so a callback that unwatches its own fd stays alive until it
     // returns.

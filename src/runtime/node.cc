@@ -78,7 +78,8 @@ struct RuntimeServer::Shard {
   DurableMeta meta;
   FixedTermPolicy policy;
   std::unique_ptr<EventLoop> loop;
-  // Deliveries posted to this shard's loop and not yet run.
+  // Deliveries posted to this shard's loop and not yet run. While it is
+  // non-zero no delivery runs inline, so the shard's order holds.
   std::atomic<uint64_t> in_flight{0};
   std::atomic<uint64_t> processed{0};
 };
@@ -130,12 +131,16 @@ Status RuntimeServer::StartInternal(const std::string* data_dir,
       return replayed;
     }
   }
+  std::vector<EventLoop*> loops;
   for (auto& shard : shards_) {
     shard->loop = std::make_unique<EventLoop>();
     shard->in_flight = 0;
+    loops.push_back(shard->loop.get());
   }
-  EventLoop* io_loop = shards_[0]->loop.get();
-  transport_ = std::make_unique<UdpTransport>(id_, io_loop, nullptr);
+  EventLoop* io_loop = loops[0];
+  // Every shard loop receives; the 1-shard and replicated hosts keep one
+  // ordinary watch on loop 0.
+  transport_ = std::make_unique<UdpTransport>(id_, loops, nullptr);
   Status started = transport_->Start(port);
   if (!started.ok()) {
     return started;
@@ -185,18 +190,19 @@ Status RuntimeServer::StartInternal(const std::string* data_dir,
     return Status(engine.error().code, engine.error().message);
   }
   engine_ = std::move(engine.value());
-  // Build the protocol objects and seed the shard partitions holding every
-  // loop's execution lock, so a timer one shard arms cannot fire before the
-  // other shards exist.
-  Status serving;
-  RunExclusive(0, [this, &serving]() {
-    serving = engine_->Start();
-    if (serving.ok() && shards_.size() > 1) {
-      engine_->sharded()->AdoptAll(store_);
+  // A replica's first authority round would find no other replica
+  // registered yet (their ports are known only once each has started), so
+  // a multi-replica engine starts from AddReplicaPeer. Until then it drops
+  // what it receives.
+  unwired_replicas_.assign(config_.replica.num_replicas, true);
+  if (replicated) {
+    unwired_replicas_[slot_.index] = false;
+  }
+  if (!replicated || config_.replica.num_replicas == 1) {
+    Status serving = StartEngine();
+    if (!serving.ok()) {
+      return serving;
     }
-  });
-  if (!serving.ok()) {
-    return serving;
   }
   transport_->SetHandler(shards_.size() == 1
                              ? static_cast<PacketHandler*>(engine_.get())
@@ -205,6 +211,32 @@ Status RuntimeServer::StartInternal(const std::string* data_dir,
     authority_->SetHandler(engine_.get());
   }
   return Status::Ok();
+}
+
+Status RuntimeServer::StartEngine() {
+  // Holding every loop's execution lock, so a timer one shard arms cannot
+  // fire before the other shards exist.
+  Status serving;
+  RunExclusive(0, [this, &serving]() {
+    serving = engine_->Start();
+    if (serving.ok() && shards_.size() > 1) {
+      engine_->sharded()->AdoptAll(store_);
+    }
+  });
+  return serving;
+}
+
+Status RuntimeServer::AddReplicaPeer(size_t index, uint16_t peer_port) {
+  authority_->AddPeer(ReplicaAddr(index), peer_port);
+  if (index >= unwired_replicas_.size() || !unwired_replicas_[index]) {
+    return Status::Ok();
+  }
+  unwired_replicas_[index] = false;
+  if (std::find(unwired_replicas_.begin(), unwired_replicas_.end(), true) !=
+      unwired_replicas_.end()) {
+    return Status::Ok();
+  }
+  return StartEngine();
 }
 
 void RuntimeServer::RunExclusive(size_t shard,
@@ -222,27 +254,49 @@ void RuntimeServer::HandlePacket(NodeId from, MessageClass cls,
   if (!packet) {
     return;  // malformed datagrams are dropped, as in LeaseServer
   }
-  ShardedLeaseServer* sharded = engine_->sharded();
-  sharded->Route(
+  engine_->sharded()->Route(
       from, cls, std::move(*packet),
-      [this, sharded](size_t i, NodeId f, MessageClass c, Packet&& p) {
-        Shard& shard = *shards_[i];
-        if (i == 0) {  // this loop's own shard: no hand-off
-          sharded->DeliverToShard(0, f, c, p);
-          ++shard.processed;
-          return;
-        }
-        // A shard that falls this far behind sheds input like the wire.
-        if (shard.in_flight++ >= kShardInboxLimit) {
-          --shard.in_flight;
-          ++dropped_;
-          return;
-        }
-        shard.loop->Post([sharded, &shard, i, f, c, p = std::move(p)]() {
-          sharded->DeliverToShard(i, f, c, p);
-          ++shard.processed;
-          --shard.in_flight;
-        });
+      [this](size_t i, NodeId f, MessageClass c, Packet&& p) {
+        Deliver(i, f, c, std::move(p));
+      });
+}
+
+void RuntimeServer::Deliver(size_t i, NodeId from, MessageClass cls,
+                            Packet&& packet) {
+  ShardedLeaseServer* sharded = engine_->sharded();
+  Shard& shard = *shards_[i];
+  bool delivered = false;
+  // Runs under shard i's execution lock. A delivery posted earlier and not
+  // yet run must go first, so this one then queues behind it.
+  auto deliver_if_none_posted = [&]() {
+    if (shard.in_flight.load() == 0) {
+      sharded->DeliverToShard(i, from, cls, packet);
+      ++shard.processed;
+      delivered = true;
+    }
+  };
+  // This thread holds its own loop's lock already, and only try-locks any
+  // other: two receiving loops cannot deadlock, and a busy shard never
+  // holds up the receive.
+  if (shard.loop->InLoopThread()) {
+    deliver_if_none_posted();
+  } else {
+    shard.loop->TryRunInline(deliver_if_none_posted);
+  }
+  if (delivered) {
+    return;
+  }
+  // A shard that falls this far behind sheds input like the wire.
+  if (shard.in_flight++ >= kShardInboxLimit) {
+    --shard.in_flight;
+    ++dropped_;
+    return;
+  }
+  shard.loop->Post(
+      [sharded, &shard, i, from, cls, packet = std::move(packet)]() {
+        sharded->DeliverToShard(i, from, cls, packet);
+        ++shard.processed;
+        --shard.in_flight;
       });
 }
 

@@ -4,13 +4,14 @@
 // RuntimeServer hosts every server engine shape (plain, FileId-sharded, one
 // replica of the replicated authority); RuntimeClient hosts a CacheClient.
 // Each owns a UDP transport, a clock and an event loop (a sharded
-// RuntimeServer owns one loop per shard). All protocol work is serialized
-// by a loop's execution lock: datagrams, timers and RunSync tasks run on
-// the loop thread, while RuntimeClient's blocking wrappers run the protocol
-// call on the caller's thread (EventLoop::RunInline). A read under a valid
-// lease therefore completes without a thread hand-off, and a miss or a
-// write sends its request straight from the caller, which then reads the
-// client socket itself until its reply arrives (the leader, below).
+// RuntimeServer owns one loop per shard, and every one of them receives).
+// All protocol work is serialized by a loop's execution lock: datagrams,
+// timers and RunSync tasks run on the loop thread, while RuntimeClient's
+// blocking wrappers run the protocol call on the caller's thread
+// (EventLoop::RunInline). A read under a valid lease therefore completes
+// without a thread hand-off, and a miss or a write sends its request
+// straight from the caller, which then reads the client socket itself
+// until its reply arrives (the leader, below).
 #ifndef SRC_RUNTIME_NODE_H_
 #define SRC_RUNTIME_NODE_H_
 
@@ -51,11 +52,15 @@ class RuntimeServer : private PacketHandler {
   // The full configuration surface; MakeServerEngine validates it at Start.
   // The config picks the shape:
   //  * 1 shard: the loop's socket feeds one LeaseServer.
-  //  * N > 1 shards: shard i of a ShardedLeaseServer runs on EventLoop i;
-  //    loop 0 owns the socket, decodes and routes each datagram
-  //    (ShardedLeaseServer::Route), runs shard-0 work inline and posts the
-  //    rest to the owning shard's loop. Every shard sends through the one
-  //    faults() -> UDP transport.
+  //  * N > 1 shards: shard i of a ShardedLeaseServer runs under
+  //    EventLoop i's execution lock. Every loop watches the one socket
+  //    (exclusively: one idle loop wakes per arrival), and the loop that
+  //    drains a datagram decodes and routes it (ShardedLeaseServer::Route).
+  //    It runs each delivery on its own thread, under the owning shard's
+  //    lock, when that shard is free and has no delivery posted; otherwise
+  //    it posts the delivery to the shard's loop. It never waits for
+  //    another shard's lock. Every shard sends through the one faults() ->
+  //    UDP transport.
   //  * replica.num_replicas > 0: one replica of the replicated authority.
   //    `id` is the virtual serving identity every replica shares; the
   //    loop-0 socket serves clients on it (only the authority holder
@@ -90,11 +95,12 @@ class RuntimeServer : private PacketHandler {
     transport_->AddPeer(peer, peer_port);
   }
   // The authority socket of a replicated host, and where it reaches the
-  // other replicas (wire every replica after each one's Start).
+  // other replicas (wire every replica after each one's Start). With more
+  // than one replica, Start leaves the authority engine stopped, and the
+  // call that registers the last other replica starts it, so its first
+  // round reaches every peer; that call returns the engine's start status.
   uint16_t authority_port() const { return authority_->port(); }
-  void AddReplicaPeer(size_t index, uint16_t peer_port) {
-    authority_->AddPeer(ReplicaAddr(index), peer_port);
-  }
+  Status AddReplicaPeer(size_t index, uint16_t peer_port);
 
   // Namespace store for pre-start setup; not thread-safe once serving. With
   // N > 1 shards, Start() copies each record into its owning shard's
@@ -120,11 +126,12 @@ class RuntimeServer : private PacketHandler {
   FaultInjectingTransport& faults() { return *faulty_; }
 
   size_t num_shards() const { return config_.num_shards; }
-  // Deliveries routed to shards. Always 0 with 1 shard, whose socket feeds
-  // the engine without routing.
+  // Deliveries routed to shards, whether run by the receiving loop or
+  // posted to the shard's. Always 0 with 1 shard, whose socket feeds the
+  // engine without routing.
   uint64_t processed() const;
-  // Deliveries dropped because their shard already had kShardInboxLimit
-  // posted and not yet run (stats().inbound_drops).
+  // Deliveries dropped because their shard was busy and already had
+  // kShardInboxLimit posted and not yet run (stats().inbound_drops).
   uint64_t dropped() const { return dropped_.load(); }
 
   // In-flight deliveries allowed per shard; the protocol reads a drop as
@@ -136,12 +143,19 @@ class RuntimeServer : private PacketHandler {
 
   // `data_dir` null: recovery state lives in memory.
   Status StartInternal(const std::string* data_dir, uint16_t port);
+  // Builds the protocol objects and seeds the shard partitions.
+  Status StartEngine();
   // Runs `fn` on the caller's thread holding the execution lock of every
   // loop from `shard` on, so no shard task, timer or datagram runs meanwhile.
   void RunExclusive(size_t shard, const std::function<void()>& fn);
-  // The socket handler of a sharded server (loop 0's thread).
+  // The socket handler of a sharded server: runs on the thread of whichever
+  // loop drained the datagram, under that loop's execution lock.
   void HandlePacket(NodeId from, MessageClass cls,
                     std::span<const uint8_t> bytes) override;
+  // Runs one routed delivery on this thread if shard `i` is free and has
+  // none posted, else posts it to the shard's loop (or drops it at
+  // kShardInboxLimit).
+  void Deliver(size_t i, NodeId from, MessageClass cls, Packet&& packet);
 
   NodeId id_;
   EngineConfig config_;
@@ -153,6 +167,9 @@ class RuntimeServer : private PacketHandler {
   std::unique_ptr<FaultInjectingTransport> faulty_;
   std::unique_ptr<UdpTransport> authority_;  // replicated shapes only
   std::unique_ptr<ServerEngine> engine_;
+  // Replicas whose authority address is not yet registered; the engine of
+  // a multi-replica host starts once none is left. Owner thread only.
+  std::vector<bool> unwired_replicas_;
   std::atomic<uint64_t> dropped_{0};
 };
 

@@ -42,8 +42,16 @@ struct UdpTransport::RecvBatch {
 
 UdpTransport::UdpTransport(NodeId self, EventLoop* loop,
                            PacketHandler* handler)
-    : self_(self), loop_(loop), handler_(handler) {
-  LEASES_CHECK(loop_ != nullptr);
+    : UdpTransport(self, std::vector<EventLoop*>{loop}, handler) {}
+
+UdpTransport::UdpTransport(NodeId self, std::vector<EventLoop*> loops,
+                           PacketHandler* handler)
+    : self_(self), handler_(handler) {
+  LEASES_CHECK(!loops.empty());
+  for (EventLoop* loop : loops) {
+    LEASES_CHECK(loop != nullptr);
+    receivers_.push_back(Receiver{loop, nullptr});
+  }
 }
 
 UdpTransport::~UdpTransport() { Stop(); }
@@ -69,8 +77,13 @@ Status UdpTransport::Start(uint16_t port) {
     return Status(ErrorCode::kUnavailable, "getsockname() failed");
   }
   port_ = ntohs(addr.sin_port);
-  recv_ = std::make_unique<RecvBatch>();
-  loop_->WatchFd(fd_, [this]() { DrainBatch(); });
+  const bool exclusive = receivers_.size() > 1;
+  for (Receiver& receiver : receivers_) {
+    receiver.batch = std::make_unique<RecvBatch>();
+    RecvBatch* batch = receiver.batch.get();
+    receiver.loop->WatchFd(
+        fd_, [this, batch]() { Drain(*batch); }, exclusive);
+  }
   return Status::Ok();
 }
 
@@ -78,8 +91,11 @@ void UdpTransport::Stop() {
   if (fd_ < 0) {
     return;
   }
-  // Returns only once the drain callback is not running and never will.
-  loop_->UnwatchFd(fd_);
+  // Each returns only once that loop's drain callback is not running and
+  // never will, so the close below races no receive.
+  for (Receiver& receiver : receivers_) {
+    receiver.loop->UnwatchFd(fd_);
+  }
   std::lock_guard<std::mutex> lock(fd_mu_);
   ::close(fd_);
   fd_ = -1;
@@ -238,14 +254,14 @@ bool UdpTransport::WaitReadable(
   return pfds[0].revents != 0;
 }
 
-void UdpTransport::DrainBatch() {
+void UdpTransport::Drain(RecvBatch& batch) {
   // One batch per call: the loop polls level-triggered, so anything left
   // queued comes back on the next pass, after due timers and tasks.
-  int got = ::recvmmsg(fd_, recv_->msgs, RecvBatch::kSize, MSG_DONTWAIT,
+  int got = ::recvmmsg(fd_, batch.msgs, RecvBatch::kSize, MSG_DONTWAIT,
                        nullptr);
   for (int m = 0; m < got; ++m) {
-    const std::vector<uint8_t>& buffer = recv_->buffers[m];
-    auto n = static_cast<size_t>(recv_->msgs[m].msg_len);
+    const std::vector<uint8_t>& buffer = batch.buffers[m];
+    auto n = static_cast<size_t>(batch.msgs[m].msg_len);
     const bool damaged = n < kHeaderSize || buffer[4] >= kNumMessageClasses;
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -420,6 +420,102 @@ TEST(EventLoopTest, RewatchedFdNumberSeesOnlyItsOwnDatagrams) {
   loop.UnwatchFd(second.rx);
 }
 
+// Two loops watch one socket exclusively: every datagram is handled
+// exactly once, by whichever loop drained it.
+TEST(EventLoopTest, ExclusiveWatchesOnTwoLoopsHandleEachDatagramOnce) {
+  constexpr uint32_t kDatagrams = 4000;
+  // Datagrams in flight at most, so the socket buffer never overflows and
+  // the test counts deliveries, not kernel drops.
+  constexpr uint32_t kWindow = 64;
+  LoopbackPair pair;
+  EventLoop loops[2];
+  std::unique_ptr<std::atomic<int>[]> seen(new std::atomic<int>[kDatagrams]);
+  for (uint32_t i = 0; i < kDatagrams; ++i) {
+    seen[i] = 0;
+  }
+  std::atomic<uint32_t> handled{0};
+  std::atomic<uint32_t> per_loop[2] = {0, 0};
+  for (int l = 0; l < 2; ++l) {
+    loops[l].WatchFd(
+        pair.rx,
+        [&, l]() {
+          uint32_t seq;
+          for (int i = 0; i < 16; ++i) {
+            if (::recv(pair.rx, &seq, sizeof(seq), MSG_DONTWAIT) !=
+                sizeof(seq)) {
+              break;
+            }
+            ++seen[seq];
+            ++per_loop[l];
+            ++handled;
+          }
+          // Linger so the other loop wakes for the next arrival.
+          auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(20);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        },
+        /*exclusive=*/true);
+  }
+  for (uint32_t seq = 0; seq < kDatagrams; ++seq) {
+    while (seq >= handled.load() + kWindow) {
+      std::this_thread::yield();
+    }
+    pair.Send(&seq, sizeof(seq));
+  }
+  ASSERT_TRUE(Eventually([&]() { return handled == kDatagrams; }));
+  for (EventLoop& loop : loops) {
+    loop.RunSync([]() {});  // a full pass of each loop
+  }
+  loops[0].UnwatchFd(pair.rx);
+  loops[1].UnwatchFd(pair.rx);
+  EXPECT_EQ(handled, kDatagrams);
+  for (uint32_t i = 0; i < kDatagrams; ++i) {
+    ASSERT_EQ(seen[i], 1) << "datagram " << i;
+  }
+  EXPECT_EQ(per_loop[0] + per_loop[1], kDatagrams);
+}
+
+// TryRunInline never waits: while another thread holds the execution lock
+// it returns false without running `fn`; otherwise it runs `fn` on the
+// calling thread and returns true. A loop thread may try another loop's
+// lock while holding its own.
+TEST(EventLoopTest, TryRunInlineRunsOnlyWhenTheLockIsFree) {
+  EventLoop loop;
+  EventLoop other;
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  loop.Post([&]() {
+    held.set_value();
+    released.wait();
+  });
+  held.get_future().wait();
+
+  bool ran = false;
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(loop.TryRunInline([&]() { ran = true; }));
+  bool other_loop_tried = true;
+  other.RunSync([&]() {
+    other_loop_tried = loop.TryRunInline([&]() { ran = true; });
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  EXPECT_FALSE(other_loop_tried);
+  EXPECT_FALSE(ran);
+  release.set_value();
+  loop.RunSync([]() {});  // the holder has returned
+
+  std::thread::id ran_on;
+  EXPECT_TRUE(loop.TryRunInline([&]() { ran_on = std::this_thread::get_id(); }));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  other.RunSync([&]() {
+    other_loop_tried = loop.TryRunInline([&]() { ran = true; });
+  });
+  EXPECT_TRUE(other_loop_tried);
+  EXPECT_TRUE(ran);
+}
+
 TEST(UdpTransportTest, LoopbackDelivery) {
   EventLoop loop_a;
   EventLoop loop_b;

@@ -192,6 +192,34 @@ TEST(RuntimeReplica, ThreeReplicaFailoverPromotesStandby) {
   }
 }
 
+// A replica starts its authority plane only once every other replica is
+// registered, so a cold start's first rounds reach their peers: no send
+// fails for want of an address.
+TEST(RuntimeReplica, ColdStartSendsNoRoundBeforePeersAreWired) {
+  EngineConfig config;
+  config.term = Duration::Seconds(10);
+  config.replica.num_replicas = 3;
+  std::vector<std::unique_ptr<RuntimeServer>> replicas;
+  for (size_t r = 0; r < 3; ++r) {
+    replicas.push_back(std::make_unique<RuntimeServer>(
+        NodeId(1), config,
+        RuntimeServer::ReplicaSlot{.index = r, .cold_boot = true}));
+    ASSERT_TRUE(replicas[r]->Start().ok());
+  }
+  // Time for a round armed at Start to have run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  WireReplicas(replicas);
+  ASSERT_TRUE(WaitFor([&] { return IsHolder(*replicas[0]); }))
+      << "seed replica never acquired the authority lease";
+  EXPECT_GT(replicas[0]->stats().authority_rounds, 0u);
+  for (auto& replica : replicas) {
+    EXPECT_EQ(replica->stats().send_failures, 0u);
+  }
+  for (auto& replica : replicas) {
+    replica->Stop();
+  }
+}
+
 // Three replicas journal under their own directories; standby 2 is then
 // stopped and restarted from its directory, as a new process would be
 // (cold_boot = false: it may have voted before).

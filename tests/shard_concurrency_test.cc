@@ -1,13 +1,16 @@
 // The sharded grant plane under real concurrency: several RuntimeClients
-// hammer a sharded RuntimeServer over UDP, exercising routing on the socket's
-// loop, deliveries posted to the other shard loops, the per-shard timers and
-// every shard sending through one UDP transport at once. Run under TSan in
+// hammer a sharded RuntimeServer over UDP, exercising every shard loop
+// receiving from the one socket, deliveries run on the receiving thread
+// under another shard's lock or posted to a busy shard's loop, the
+// per-shard timers and every shard sending through one UDP transport at
+// once. Run under TSan in
 // the sanitizer tier (tools/run_sanitizer_tier.sh), this is the proof that
 // the hot path is race-free.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -38,6 +41,27 @@ ClientParams TestClientParams() {
   p.epsilon = Duration::Millis(50);
   p.request_timeout = Duration::Millis(300);
   return p;
+}
+
+// One file per shard of a fresh `shards`-shard server, in shard order.
+std::vector<FileId> FilePerShard(RuntimeServer& server, size_t shards) {
+  std::vector<FileId> files;
+  for (int i = 0; files.size() < shards; ++i) {
+    FileId f = *server.store().CreatePath("/d/f" + std::to_string(i),
+                                          FileClass::kNormal, B("seed"));
+    if (ShardIndexOf(f, shards) == files.size()) {
+      files.push_back(f);
+    }
+  }
+  return files;
+}
+
+// Polls `cond` for up to 5 s.
+bool Eventually(const std::function<bool()>& cond) {
+  for (int i = 0; i < 1000 && !cond(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return cond();
 }
 
 TEST(ShardConcurrency, ClientsHammerAllShardsThroughBatchedUdp) {
@@ -277,14 +301,7 @@ TEST(ShardConcurrency, BlockedShardDropsInboundAndRecovers) {
   constexpr size_t kShards = 2;
   RuntimeServer server(NodeId(1),
                        ShardedConfig(Duration::Seconds(5), kShards));
-  std::vector<FileId> files;  // one file per shard, in shard order
-  for (int i = 0; files.size() < kShards; ++i) {
-    FileId f = *server.store().CreatePath("/d/f" + std::to_string(i),
-                                          FileClass::kNormal, B("seed"));
-    if (ShardIndexOf(f, kShards) == files.size()) {
-      files.push_back(f);
-    }
-  }
+  std::vector<FileId> files = FilePerShard(server, kShards);
   ASSERT_TRUE(server.Start().ok());
   LeaseServer* shard1 = &server.engine().sharded()->shard(1);
 
@@ -347,6 +364,111 @@ TEST(ShardConcurrency, BlockedShardDropsInboundAndRecovers) {
   client.Stop();
   flood.Stop();
   server.Stop();
+}
+
+// A busy shard holds up only its own files. While shard 1's loop is held
+// for 300 ms, writes to shard 0's file finish at normal latency, and a
+// write to shard 1's file waits behind the hold and then finishes without
+// a retransmit.
+TEST(ShardConcurrency, BusyShardHoldsUpOnlyItsOwnFiles) {
+  constexpr size_t kShards = 2;
+  constexpr auto kHold = std::chrono::milliseconds(300);
+  RuntimeServer server(NodeId(1),
+                       ShardedConfig(Duration::Seconds(5), kShards));
+  std::vector<FileId> files = FilePerShard(server, kShards);
+  ASSERT_TRUE(server.Start().ok());
+  LeaseServer* shard1 = &server.engine().sharded()->shard(1);
+
+  // The retransmit timer outlasts the hold, so a retransmit would mean the
+  // delivery was lost, not late.
+  ClientParams params = TestClientParams();
+  params.request_timeout = Duration::Seconds(2);
+  RuntimeClient fast(NodeId(2), NodeId(1), server.store().root(), params);
+  RuntimeClient slow(NodeId(3), NodeId(1), server.store().root(), params);
+  for (RuntimeClient* client : {&fast, &slow}) {
+    ASSERT_TRUE(client->Start(server.port()).ok());
+  }
+  server.AddPeer(NodeId(2), fast.port());
+  server.AddPeer(NodeId(3), slow.port());
+  ASSERT_TRUE(fast.Write(files[0], B("warm"), Duration::Seconds(10)).ok());
+  ASSERT_TRUE(slow.Write(files[1], B("warm"), Duration::Seconds(10)).ok());
+
+  std::promise<std::chrono::steady_clock::time_point> parked;
+  auto hold_start = parked.get_future();
+  std::thread blocker([&]() {
+    server.WithServer([&](LeaseServer& shard) {
+      if (&shard == shard1) {
+        parked.set_value(std::chrono::steady_clock::now());
+        std::this_thread::sleep_for(kHold);
+      }
+    });
+  });
+  const auto held_at = hold_start.get();
+  auto slow_write =
+      std::async(std::launch::async, [&]() -> std::chrono::milliseconds {
+        Result<WriteResult> w =
+            slow.Write(files[1], B("held"), Duration::Seconds(10));
+        EXPECT_TRUE(w.ok()) << w.error().ToString();
+        return std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - held_at);
+      });
+
+  std::chrono::steady_clock::duration worst{};
+  int fast_writes = 0;
+  while (std::chrono::steady_clock::now() - held_at < kHold / 2) {
+    auto start = std::chrono::steady_clock::now();
+    Result<WriteResult> w = fast.Write(
+        files[0], B("w" + std::to_string(fast_writes)), Duration::Seconds(10));
+    ASSERT_TRUE(w.ok()) << w.error().ToString();
+    worst = std::max(worst, std::chrono::steady_clock::now() - start);
+    ++fast_writes;
+  }
+  EXPECT_GT(fast_writes, 1);
+  EXPECT_LT(worst, kHold / 3) << "a shard-0 write waited on shard 1";
+  EXPECT_GE(slow_write.get(), kHold - std::chrono::milliseconds(20))
+      << "the shard-1 write ran while its shard was held";
+  blocker.join();
+  EXPECT_EQ(slow.stats().retransmits, 0u);
+  EXPECT_EQ(fast.stats().retransmits, 0u);
+  EXPECT_EQ(server.dropped(), 0u);
+
+  fast.Stop();
+  slow.Stop();
+  server.Stop();
+}
+
+// Stop unwatches the socket from every shard loop. Under a flood of
+// requests that keeps every loop's drain busy, it still returns promptly.
+TEST(ShardConcurrency, StopReturnsPromptlyUnderADatagramFlood) {
+  constexpr size_t kShards = 2;
+  RuntimeServer server(NodeId(1),
+                       ShardedConfig(Duration::Seconds(5), kShards));
+  std::vector<FileId> files = FilePerShard(server, kShards);
+  ASSERT_TRUE(server.Start().ok());
+  EventLoop flood_loop;
+  UdpTransport flood(NodeId(7), &flood_loop, nullptr);
+  ASSERT_TRUE(flood.Start().ok());
+  flood.AddPeer(NodeId(1), server.port());
+  server.AddPeer(NodeId(7), flood.port());
+
+  std::atomic<bool> flooding{true};
+  std::thread sender([&]() {
+    uint64_t sent = 0;
+    while (flooding.load(std::memory_order_relaxed)) {
+      ReadRequest m;
+      m.req = RequestId(++sent);
+      m.file = files[sent % kShards];
+      flood.Send(NodeId(1), MessageClass::kData, Packet(std::move(m)));
+    }
+  });
+  ASSERT_TRUE(Eventually([&]() { return server.processed() > 1000; }));
+  auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  auto took = std::chrono::steady_clock::now() - start;
+  flooding = false;
+  sender.join();
+  EXPECT_LT(took, std::chrono::seconds(1));
+  flood.Stop();
 }
 
 }  // namespace

@@ -36,24 +36,30 @@ fi
 # on, the durable storage plane (raw-fd journal I/O plus the crash-point
 # matrix, which ASan checks for leaks/overflows across injected crashes),
 # and the sharded grant plane -- shard_test covers the routing/split logic,
-# shard_concurrency_test hammers the per-shard event loops, the deliveries
-# the socket's loop posts to them and the one UDP transport every shard
-# sends through (including its send counters read mid-storm), which is
-# exactly the surface TSan exists to check.
+# shard_concurrency_test hammers the per-shard event loops, every one of
+# which receives from the one socket: a loop runs a delivery under another
+# shard's execution lock on its own thread (the cross-loop TryRunInline
+# path) or posts it to a busy shard's loop, and every shard sends through
+# one UDP transport (including its send counters read mid-storm), which is
+# exactly the surface TSan exists to check. It also holds one shard busy
+# while the others serve, and stops the host under a datagram flood.
 # swarm_test drives the million-client swarm plane's SoA clients, multicast
 # renewal and admission control through ASan for lifetime/indexing bugs.
 # event_loop_test drives the epoll loop's watches from several threads:
 # unwatch under a datagram flood, pause/resume without a wake-up, an fd
-# number re-watched after close. runtime_test runs RuntimeServer in every
-# shape it hosts (1 shard, 2 shards, the 1-replica shell), durable restart
-# included, and RuntimeClient's leader: a caller that drains the client
-# socket on its own thread while the loop's timers and other callers run.
+# number re-watched after close, two loops watching one fd exclusively, and
+# TryRunInline from another loop's thread. runtime_test runs RuntimeServer
+# in every shape it hosts (1 shard, 2 shards, the 1-replica shell), durable
+# restart included, and RuntimeClient's leader: a caller that drains the
+# client socket on its own thread while the loop's timers and other
+# callers run.
 # The replica tier (engine_test, replica_test, runtime_replica_test) covers
 # the factory lifecycle, the PaxosLease authority state machine across
 # crash/partition/drift soaks, and replicated RuntimeServers on real
-# sockets (serving + authority socket on one loop: failover, and a standby
-# restarted from its journal) -- real threads under TSan, serving-engine
-# churn under ASan.
+# sockets (serving + authority socket on one loop: the authority engine
+# started by the last AddReplicaPeer, failover, and a standby restarted
+# from its journal) -- real threads under TSan, serving-engine churn under
+# ASan.
 # clock_health_test exercises the clock-error estimator (internally locked,
 # shared across shard threads) and the drift-ramp acceptance soaks.
 targets=(scheduler_test sim_test net_test proto_test fastpath_alloc_test
